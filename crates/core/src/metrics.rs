@@ -79,6 +79,7 @@ pub struct ClusterMetrics {
     tcp_reconnects: Counter,
     tcp_frames_requeued: Counter,
     tcp_frames_abandoned: Counter,
+    tcp_direct_writes: Counter,
     // Send-pipeline instrumentation, shared with the TCP writer threads
     // through the same interning.
     tcp_outbox_depth: Gauge,
@@ -113,6 +114,7 @@ impl ClusterMetrics {
         let tcp_reconnects = obs.registry().counter("tcp_reconnects");
         let tcp_frames_requeued = obs.registry().counter("tcp_frames_requeued");
         let tcp_frames_abandoned = obs.registry().counter("tcp_frames_abandoned");
+        let tcp_direct_writes = obs.registry().counter("tcp_direct_writes");
         let tcp_outbox_depth = obs.registry().gauge("tcp_outbox_depth");
         let tcp_frames_per_flush = obs.registry().histogram("tcp_frames_per_flush");
         let send_enqueue_ns = obs.registry().histogram("send_enqueue_ns");
@@ -125,6 +127,7 @@ impl ClusterMetrics {
             tcp_reconnects,
             tcp_frames_requeued,
             tcp_frames_abandoned,
+            tcp_direct_writes,
             tcp_outbox_depth,
             tcp_frames_per_flush,
             send_enqueue_ns,
@@ -202,25 +205,34 @@ impl ClusterMetrics {
         self.tcp_frames_abandoned.get()
     }
 
-    /// Frames currently sitting in TCP per-peer outboxes (enqueued by the
-    /// protocol threads, not yet written or dropped by a writer thread).
-    /// Zero on the channel transport and on an idle, healthy mesh.
+    /// Frames the protocol threads wrote whole straight into a TCP socket,
+    /// with no writer-thread hop. On a healthy, connected mesh nearly
+    /// every frame takes this path; zero on the channel transport.
+    pub fn direct_writes(&self) -> u64 {
+        self.tcp_direct_writes.get()
+    }
+
+    /// Frames currently pending in TCP per-peer outboxes (enqueued by the
+    /// protocol threads, or half-written by them, and not yet written or
+    /// dropped by a writer thread). Zero on the channel transport and on
+    /// an idle, healthy mesh.
     pub fn outbox_depth(&self) -> i64 {
         self.tcp_outbox_depth.get()
     }
 
-    /// Distribution of frames coalesced into each TCP batch write. Means
-    /// near 1 say the writers keep up frame-by-frame; larger values mean
-    /// bursts (or recovering backlogs) are being collapsed into single
-    /// syscalls.
+    /// Distribution of frames per successful TCP write: 1 for every direct
+    /// write from a protocol thread, the batch size for a writer thread's
+    /// coalesced write. Values above 1 mean bursts (or recovering
+    /// backlogs) are being collapsed into single syscalls.
     pub fn frames_per_flush(&self) -> HistogramSummary {
         self.tcp_frames_per_flush.summary()
     }
 
     /// Distribution of nanoseconds a protocol thread spends inside
-    /// [`crate::transport::Wire::send`] on the TCP transport — the
-    /// enqueue-only hot path. This is the number the off-thread writer
-    /// pipeline exists to keep flat: it must not grow when a peer dies.
+    /// [`crate::transport::Wire::send`] on the TCP transport. On the
+    /// direct path this includes the nonblocking `write` syscall; on the
+    /// fallback path it is the enqueue and writer kick. Either way `send`
+    /// never blocks, so it must not grow when a peer dies.
     pub fn send_enqueue_ns(&self) -> HistogramSummary {
         self.send_enqueue_ns.summary()
     }
@@ -319,7 +331,9 @@ mod tests {
         obs.registry().gauge("tcp_outbox_depth").add(3);
         obs.registry().histogram("tcp_frames_per_flush").record(4);
         obs.registry().histogram("send_enqueue_ns").record(250);
+        obs.registry().counter("tcp_direct_writes").add(2);
         assert_eq!(m.outbox_depth(), 3);
+        assert_eq!(m.direct_writes(), 2);
         assert_eq!(m.frames_per_flush().count, 1);
         assert_eq!(m.send_enqueue_ns().count, 1);
         assert_eq!(m.send_enqueue_ns().sum, 250);

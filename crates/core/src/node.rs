@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
-use tokq_obs::{span, Event, Level, Obs, SpanGuard};
+use tokq_obs::{span, Counter, Event, Histogram, Level, Obs, SpanGuard};
 use tokq_protocol::api::Protocol;
 use tokq_protocol::arbiter::{ArbiterMsg, ArbiterNode, ArbiterTimer};
 use tokq_protocol::event::{Action, Input, Note};
@@ -151,6 +151,49 @@ impl ShardState {
     }
 }
 
+/// Number of [`ArbiterMsg`] kinds, one `handle_ns` histogram each.
+const MSG_KINDS: usize = 11;
+
+/// Dense index of `msg`'s kind into [`HotObs::handle_ns`].
+fn kind_slot(msg: &ArbiterMsg) -> usize {
+    match msg {
+        ArbiterMsg::Request { .. } => 0,
+        ArbiterMsg::Privilege(_) => 1,
+        ArbiterMsg::NewArbiter { .. } => 2,
+        ArbiterMsg::MonitorSubmit { .. } => 3,
+        ArbiterMsg::Warning { .. } => 4,
+        ArbiterMsg::Enquiry { .. } => 5,
+        ArbiterMsg::EnquiryReply { .. } => 6,
+        ArbiterMsg::Resume => 7,
+        ArbiterMsg::Invalidate { .. } => 8,
+        ArbiterMsg::Probe => 9,
+        ArbiterMsg::ProbeAck { .. } => 10,
+    }
+}
+
+/// Registry handles recorded into on every frame or grant, looked up
+/// once per node rather than once per use (each lookup read-locks the
+/// registry and probes a hashed map).
+struct HotObs {
+    wire_bytes_in: Counter,
+    wire_bytes_out: Counter,
+    cs_grant: Histogram,
+    /// `handle_ns/<kind>` by [`kind_slot`], registered on first use so
+    /// the registry lists only the kinds this node actually handled.
+    handle_ns: [Option<Histogram>; MSG_KINDS],
+}
+
+impl HotObs {
+    fn new(obs: &Obs) -> Self {
+        HotObs {
+            wire_bytes_in: obs.registry().counter("wire_bytes_in"),
+            wire_bytes_out: obs.registry().counter("wire_bytes_out"),
+            cs_grant: obs.registry().histogram_with("span_ns", "cs_grant"),
+            handle_ns: Default::default(),
+        }
+    }
+}
+
 pub(crate) struct NodeLoop {
     id: NodeId,
     shards: Vec<ShardState>,
@@ -158,6 +201,7 @@ pub(crate) struct NodeLoop {
     transport: Arc<dyn Wire>,
     metrics: Arc<ClusterMetrics>,
     obs: Obs,
+    hot: HotObs,
     n: usize,
 
     timers: BinaryHeap<PendingTimer>,
@@ -185,6 +229,7 @@ impl NodeLoop {
         let n = shards[0].num_nodes();
         let k = shards.len();
         let obs = metrics.obs().clone();
+        let hot = HotObs::new(&obs);
         NodeLoop {
             id,
             shards: shards.into_iter().map(ShardState::new).collect(),
@@ -192,6 +237,7 @@ impl NodeLoop {
             transport,
             metrics,
             obs,
+            hot,
             n,
             timers: BinaryHeap::new(),
             timer_gen: HashMap::new(),
@@ -283,10 +329,7 @@ impl NodeLoop {
                 if !self.alive {
                     return None;
                 }
-                self.obs
-                    .registry()
-                    .counter("wire_bytes_in")
-                    .add(frame.len() as u64);
+                self.hot.wire_bytes_in.add(frame.len() as u64);
                 match wire::decode(&frame) {
                     Ok((shard, msg)) if shard.index() < self.shards.len() => {
                         use tokq_protocol::api::ProtocolMessage;
@@ -361,10 +404,13 @@ impl NodeLoop {
         match work {
             ShardWork::Deliver { from, msg } => {
                 use tokq_protocol::api::ProtocolMessage;
-                let hist = self.obs.registry().histogram_with("handle_ns", msg.kind());
+                let (kind, slot) = (msg.kind(), kind_slot(&msg));
                 let start = Instant::now();
                 self.dispatch(shard, Input::Deliver { from, msg });
-                hist.record_duration(start.elapsed());
+                let elapsed = start.elapsed();
+                self.hot.handle_ns[slot]
+                    .get_or_insert_with(|| self.obs.registry().histogram_with("handle_ns", kind))
+                    .record_duration(elapsed);
             }
             ShardWork::Acquire { grant } => {
                 self.metrics.cs_requested(shard);
@@ -537,10 +583,7 @@ impl NodeLoop {
                     match st.waiters.pop_front() {
                         Some((grant, since)) if grant.send(Ok(cs_gen)).is_ok() => {
                             let waited = since.elapsed();
-                            self.obs
-                                .registry()
-                                .histogram_with("span_ns", "cs_grant")
-                                .record_duration(waited);
+                            self.hot.cs_grant.record_duration(waited);
                             if self.obs.enabled(T_NODE, Level::Debug) {
                                 self.obs.emit(
                                     Event::new(T_NODE, Level::Debug, "cs_granted")
@@ -602,10 +645,7 @@ impl NodeLoop {
         let kind = msg.kind();
         self.metrics.message(shard, kind);
         let frame = wire::encode(shard, msg);
-        self.obs
-            .registry()
-            .counter("wire_bytes_out")
-            .add(frame.len() as u64);
+        self.hot.wire_bytes_out.add(frame.len() as u64);
         if self.obs.enabled(T_NET, Level::Trace) {
             self.obs.emit(
                 Event::new(T_NET, Level::Trace, "msg_sent")
@@ -621,5 +661,57 @@ impl NodeLoop {
             to,
             frame,
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tokq_protocol::api::ProtocolMessage;
+    use tokq_protocol::arbiter::{Token, TokenStatus};
+    use tokq_protocol::qlist::QList;
+    use tokq_protocol::types::{Priority, SeqNum};
+
+    #[test]
+    fn every_message_kind_has_its_own_handle_ns_slot() {
+        let msgs = [
+            ArbiterMsg::Request {
+                requester: NodeId(1),
+                seq: SeqNum(1),
+                priority: Priority(0),
+                hops: 0,
+            },
+            ArbiterMsg::Privilege(Token::initial(2)),
+            ArbiterMsg::NewArbiter {
+                arbiter: NodeId(1),
+                q: QList::new(),
+                prev: NodeId(0),
+                round: 1,
+                counter: 0,
+                epoch: 0,
+                monitor: None,
+            },
+            ArbiterMsg::MonitorSubmit {
+                requester: NodeId(1),
+                seq: SeqNum(1),
+                priority: Priority(0),
+            },
+            ArbiterMsg::Warning { round: 1 },
+            ArbiterMsg::Enquiry { epoch: 0 },
+            ArbiterMsg::EnquiryReply {
+                status: TokenStatus::Waiting,
+            },
+            ArbiterMsg::Resume,
+            ArbiterMsg::Invalidate { epoch: 1 },
+            ArbiterMsg::Probe,
+            ArbiterMsg::ProbeAck { arbiter: true },
+        ];
+        let mut kinds = [""; MSG_KINDS];
+        for msg in &msgs {
+            let slot = kind_slot(msg);
+            assert_eq!(kinds[slot], "", "slot {slot} shared by two kinds");
+            kinds[slot] = msg.kind();
+        }
+        assert!(kinds.iter().all(|k| !k.is_empty()));
     }
 }

@@ -9,34 +9,57 @@
 //!
 //! # Send pipeline
 //!
-//! The protocol thread never touches a socket. [`Wire::send`] only
-//! enqueues the frame into a bounded per-peer outbox (drop-oldest on
-//! overflow, counted in `tcp_frames_abandoned`) and kicks that peer's
-//! dedicated writer thread. The writer owns the connection outright: it
-//! connects lazily, coalesces everything queued into a single buffered
-//! write per wakeup (one syscall for a batch of header+frame pairs
-//! instead of two `write_all`s per frame), and on failure parks the
-//! unsent tail and backs off exponentially with jitter
-//! ([`BackoffPolicy`]). There is no timed polling: writers sleep on their
-//! kick channel and wake on new frames, on the backoff deadline, or on a
-//! fault-panel transition. A dead or slow peer therefore costs its own
-//! writer thread some blocking time — never the protocol thread, and
-//! never the other peers' links.
+//! [`Wire::send`] never blocks and never connects. Established sockets
+//! are nonblocking, and on the hot path — the peer is connected and out
+//! of backoff, the [`FaultPanel`] lets the link through, and nothing
+//! (queued frame, writer batch, half-written tail) is pending for that
+//! peer — `send` writes the frame straight into the socket from the
+//! calling protocol thread: one `write` syscall, no thread hop. If the
+//! kernel takes only part of the frame, the rest becomes the
+//! connection's *tail*, which the peer's writer thread finishes before
+//! anything else.
 //!
-//! Partitions come from the shared [`FaultPanel`], consulted by the
-//! writer at flush time — the moment the frame would enter the network.
-//! A blocked link holds its frames (and every later frame on the same
-//! link, preserving per-link order) in the outbox; a heal wakes the
+//! Every other case falls back to the outbox: `send` enqueues the frame
+//! into a bounded per-peer queue (drop-oldest on overflow, counted in
+//! `tcp_frames_abandoned`) and kicks that peer's dedicated writer thread.
+//! That covers no connection yet, a writer mid-flush (it holds the
+//! connection lock, which `send` only ever `try_lock`s), a full socket
+//! buffer, a write error, a blocked link and a non-empty outbox. The
+//! writer is the cold-path helper: it connects lazily, finishes tails,
+//! coalesces everything queued into a single buffered write per wakeup,
+//! and on failure parks the unsent frames and backs off exponentially
+//! with jitter ([`BackoffPolicy`]). It writes in blocking mode — only
+//! while the kernel buffer is full, bounded by a write-stall timeout — so
+//! a dead or slow peer costs its own writer thread some blocking time,
+//! never a protocol thread and never the other peers' links. There is no
+//! timed polling: writers sleep on their kick channel and wake on new
+//! frames, on the backoff deadline, or on a fault-panel transition.
+//!
+//! A frame is either written whole on one connection or retried whole on
+//! the next: a frame cut short by a dying connection was never framed on
+//! the peer, so resending it cannot duplicate delivery.
+//!
+//! Partitions come from the shared [`FaultPanel`], consulted at the moment
+//! a frame would enter the network (the direct write or the writer's
+//! flush). A blocked link holds its frames (and every later frame on the
+//! same link, preserving per-link order) in the outbox; a heal wakes the
 //! writer, which drains them in order. Injected panel loss, by contrast,
 //! drops a frame outright, rolled exactly once per frame at its first
-//! flush attempt (TCP cannot resurrect a frame the application never
+//! write attempt (TCP cannot resurrect a frame the application never
 //! wrote), mirroring the simulator's loss semantics. Only queue overflow
 //! abandons frames (oldest first) — sustained unreachability then
 //! degrades to the lossy-network behaviour the fault-tolerant protocol
 //! configuration already handles.
+//!
+//! # Receive path
+//!
+//! One reader thread per accepted connection pulls whatever has arrived
+//! into a fixed 4 KiB buffer with one `read` per wakeup and parses every
+//! complete frame out of it; the buffer grows only while a frame larger
+//! than itself is being assembled.
 
 use std::collections::VecDeque;
-use std::io::{Read, Write as _};
+use std::io::{ErrorKind, Read, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -55,6 +78,14 @@ use crate::transport::{Envelope, Wire};
 /// Maximum accepted frame payload (a PRIVILEGE for thousands of nodes is
 /// far below this; anything bigger is corruption).
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
+
+/// Bytes of the `[u32 len][u32 sender]` header preceding each payload.
+const HEADER: usize = 8;
+
+/// Steady-state size of a reader's receive buffer: one `read` fills it
+/// with every frame waiting on the socket (protocol frames are tens of
+/// bytes), and a frame larger than this grows it only until consumed.
+const READ_BUF: usize = 4096;
 
 /// How long reader threads wait on a quiet socket before re-checking the
 /// receiver's stop flag; bounds how long `TcpReceiver::shutdown` blocks.
@@ -110,33 +141,66 @@ impl BackoffPolicy {
 struct QueuedFrame {
     env: Envelope,
     /// Whether this frame was already counted in `tcp_frames_requeued`.
-    /// Set on the first flush attempt that could not send it (failed
-    /// write or blocked link); later re-parks are not recounted, so the
-    /// counter reads "frames that ever had to wait", matching the old
-    /// send-path semantics.
+    /// Set on the first write attempt that could not send it (failed or
+    /// short write, or blocked link); later re-parks are not recounted,
+    /// so the counter reads "frames that ever had to wait", matching the
+    /// old send-path semantics.
     requeued: bool,
     /// Whether injected loss was already rolled for this frame. Loss is
-    /// evaluated at flush time but exactly once per frame, so retries do
+    /// evaluated at write time but exactly once per frame, so retries do
     /// not compound the configured probability.
     loss_rolled: bool,
 }
 
-/// The outbox shared between the enqueuing protocol threads and one
-/// writer thread. The mutex is held only for queue surgery
-/// (push/pop/trim) — never across a connect or write syscall.
+impl QueuedFrame {
+    fn new(env: Envelope) -> Self {
+        QueuedFrame {
+            env,
+            requeued: false,
+            loss_rolled: false,
+        }
+    }
+
+    /// Appends the frame's `[len][sender][payload]` encoding to `out`.
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&(self.env.frame.len() as u32).to_be_bytes());
+        out.extend_from_slice(&self.env.from.0.to_be_bytes());
+        out.extend_from_slice(&self.env.frame);
+    }
+}
+
+/// A frame the socket took only part of: the rest must follow on the same
+/// connection before any other byte.
+struct Tail {
+    frame: QueuedFrame,
+    /// Bytes of the frame's encoding already written.
+    written: usize,
+}
+
+/// Everything one peer's frames pass through: the queue shared by the
+/// enqueuing protocol threads and the writer, and the connection that
+/// both the direct path and the writer write into.
 struct PeerOutbox {
+    /// Held only for queue surgery (push/pop/trim) — never across a
+    /// connect or write syscall.
     queue: Mutex<VecDeque<QueuedFrame>>,
-    /// Frames logically pending for this peer: queued plus popped into a
-    /// writer's in-flight batch. Kept outside the queue so
-    /// `pending_frames` and the overflow check see in-flight frames too.
+    /// Frames logically pending for this peer: queued, popped into a
+    /// writer's in-flight batch, or a connection's unfinished tail. Kept
+    /// outside the queue so `pending_frames`, the overflow check and the
+    /// direct path's "nothing ahead of me" check all see them.
     depth: AtomicUsize,
+    /// The connection. The writer holds this lock across a whole flush
+    /// pass, connect and blocking writes included; `Wire::send` only
+    /// `try_lock`s it, so it never waits on the writer.
+    conn: Mutex<WriterConn>,
     /// Wakes the peer's writer thread.
     kick: Sender<()>,
 }
 
-/// Connection state owned exclusively by one writer thread — no lock
-/// guards it because nothing else may touch the socket.
+/// Connection state of one peer link.
 struct WriterConn {
+    /// The established socket, nonblocking outside the writer's stalled
+    /// writes.
     conn: Option<TcpStream>,
     /// Current backoff delay; zero while the link is healthy.
     delay: Duration,
@@ -145,11 +209,14 @@ struct WriterConn {
     /// Whether a connection was ever established (distinguishes
     /// reconnects from first connects).
     ever_connected: bool,
-    /// Reusable coalescing buffer: header+frame pairs for a whole batch.
+    /// Reusable encoding buffer: one frame on the direct path,
+    /// header+frame pairs for a whole batch in the writer.
     buf: Vec<u8>,
     /// End offset of each frame within `buf`, for partial-write
     /// accounting.
     bounds: Vec<usize>,
+    /// A frame cut short by a full socket buffer on the direct path.
+    tail: Option<Tail>,
 }
 
 impl WriterConn {
@@ -161,8 +228,41 @@ impl WriterConn {
             ever_connected: false,
             buf: Vec::new(),
             bounds: Vec::new(),
+            tail: None,
         }
     }
+}
+
+/// Writes all of `bytes` into `stream`, which is nonblocking. While the
+/// kernel buffer is full the stream is switched to blocking mode, where
+/// each write is bounded by [`WRITE_STALL_TIMEOUT`], and switched back
+/// once everything is written. `Err(n)` reports the bytes written before
+/// the connection failed or stalled; the caller must then drop it.
+fn write_stalling(stream: &mut TcpStream, bytes: &[u8]) -> Result<(), usize> {
+    let mut off = 0;
+    let mut blocking = false;
+    while off < bytes.len() {
+        match stream.write(&bytes[off..]) {
+            Ok(0) => return Err(off),
+            Ok(n) => off += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == ErrorKind::WouldBlock && !blocking => {
+                if stream.set_nonblocking(false).is_err() {
+                    return Err(off);
+                }
+                blocking = true;
+            }
+            // Includes the stall timeout, which surfaces as WouldBlock
+            // once the stream blocks.
+            Err(_) => return Err(off),
+        }
+    }
+    // A stream left blocking would let the direct path block: fail the
+    // connection instead (every byte is written, so nothing is resent).
+    if blocking && stream.set_nonblocking(true).is_err() {
+        return Err(off);
+    }
+    Ok(())
 }
 
 /// What a flush pass left behind, deciding how the writer sleeps.
@@ -189,16 +289,22 @@ struct SenderInner {
     connects: Counter,
     /// Connection establishments after a previous failure or disconnect.
     reconnects: Counter,
-    /// Frames that had to wait in an outbox past their first flush
-    /// attempt (failed send or blocked link), counted once per frame.
+    /// Frames that had to wait in an outbox past their first write
+    /// attempt (failed or short write, or blocked link), counted once
+    /// per frame.
     frames_requeued: Counter,
     /// Frames dropped because an outbox overflowed its bound.
     frames_abandoned: Counter,
+    /// Frames written whole by the sending thread itself, with no writer
+    /// thread involved.
+    direct_writes: Counter,
     /// Frames currently pending across all outboxes.
     outbox_depth: Gauge,
-    /// Frames coalesced into each successful batch write.
+    /// Frames per successful write: 1 for a direct write or a finished
+    /// tail, the batch size for a writer's coalesced write.
     frames_per_flush: Histogram,
-    /// Nanoseconds the caller spends inside `Wire::send` (enqueue only).
+    /// Nanoseconds the caller spends inside `Wire::send`: the enqueue, or
+    /// on the direct path the write syscall.
     enqueue_ns: Histogram,
 }
 
@@ -219,10 +325,18 @@ impl SenderInner {
         delay + delay.mul_f64(self.policy.jitter * unit)
     }
 
-    /// Schedules the writer's next retry one backoff step out.
-    fn back_off(&self, w: &mut WriterConn) {
+    /// Drops the connection and schedules the next retry one backoff
+    /// step out.
+    fn fail_conn(&self, w: &mut WriterConn) {
+        w.conn = None;
         w.delay = self.policy.next_delay(w.delay);
         w.next_attempt = Instant::now() + self.jittered(w.delay);
+    }
+
+    /// Adds one frame to peer `idx`'s logical depth.
+    fn add_depth(&self, idx: usize) {
+        self.peers[idx].depth.fetch_add(1, Ordering::Relaxed);
+        self.outbox_depth.add(1);
     }
 
     /// Removes `n` frames from peer `idx`'s logical depth (sent, dropped
@@ -240,11 +354,106 @@ impl SenderInner {
         }
     }
 
-    /// One flush pass over peer `idx`: repeatedly splits the outbox into
-    /// held frames (blocked links, kept in order) and a sendable batch,
-    /// and writes the batch as a single coalesced buffer. Returns how the
-    /// writer should sleep.
+    /// The direct path: writes `frame` into peer `idx`'s socket from the
+    /// calling thread when nothing can be ahead of it on that link.
+    /// Returns the frame when it must go through the outbox instead.
+    fn send_direct(&self, idx: usize, mut frame: QueuedFrame) -> Option<QueuedFrame> {
+        let peer = &self.peers[idx];
+        let Some(mut guard) = peer.conn.try_lock() else {
+            return Some(frame); // the writer is mid-flush
+        };
+        let w = &mut *guard;
+        // Depth counts queued frames, a writer's batch and a tail, so
+        // zero means no earlier frame of any link to this peer is
+        // pending and per-link order cannot break.
+        if w.conn.is_none()
+            || !w.delay.is_zero()
+            || peer.depth.load(Ordering::Relaxed) != 0
+            || self.panel.is_blocked(frame.env.from.index(), idx)
+        {
+            return Some(frame);
+        }
+        frame.loss_rolled = true;
+        if self.panel.rolls_loss_drop() {
+            return None; // injected loss: frame gone
+        }
+        w.buf.clear();
+        frame.encode_into(&mut w.buf);
+        let stream = w.conn.as_mut().expect("checked above");
+        let written = loop {
+            match stream.write(&w.buf) {
+                Ok(n) => break n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break 0,
+                Err(_) => {
+                    self.fail_conn(w);
+                    self.mark_requeued(&mut frame);
+                    return Some(frame);
+                }
+            }
+        };
+        if written == w.buf.len() {
+            self.direct_writes.inc();
+            self.frames_per_flush.record(1);
+            return None;
+        }
+        self.mark_requeued(&mut frame);
+        if written == 0 {
+            return Some(frame); // socket buffer full: the writer waits it out
+        }
+        // Part of the frame is on the wire: the rest must follow on this
+        // connection, so it stays with the connection, not the queue.
+        self.add_depth(idx);
+        w.tail = Some(Tail { frame, written });
+        drop(guard);
+        let _ = peer.kick.send(());
+        None
+    }
+
+    /// Puts frames that could not be written back at the front of peer
+    /// `idx`'s outbox in order, trims it back under its bound
+    /// (drop-oldest: frames enqueued during the failed write may have
+    /// pushed it over), and backs off.
+    fn park_failed(
+        &self,
+        idx: usize,
+        w: &mut WriterConn,
+        unsent: impl DoubleEndedIterator<Item = QueuedFrame>,
+    ) -> FlushState {
+        let mut q = self.peers[idx].queue.lock();
+        for mut f in unsent.rev() {
+            self.mark_requeued(&mut f);
+            q.push_front(f);
+        }
+        while self.peers[idx].depth.load(Ordering::Relaxed) > self.policy.queue_cap {
+            if q.pop_front().is_none() {
+                break;
+            }
+            self.sub_depth(idx, 1);
+            self.frames_abandoned.inc();
+        }
+        drop(q);
+        self.fail_conn(w);
+        FlushState::Backoff(w.next_attempt)
+    }
+
+    /// One flush pass over peer `idx`: finishes a pending tail, then
+    /// repeatedly splits the outbox into held frames (blocked links, kept
+    /// in order) and a sendable batch, and writes the batch as a single
+    /// coalesced buffer. Returns how the writer should sleep.
     fn flush_peer(&self, idx: usize, w: &mut WriterConn) -> FlushState {
+        if let Some(tail) = w.tail.take() {
+            // The connection that took the tail's head is still up (a
+            // failed direct write never leaves a tail behind).
+            w.buf.clear();
+            tail.frame.encode_into(&mut w.buf);
+            let stream = w.conn.as_mut().expect("a tail implies a connection");
+            if write_stalling(stream, &w.buf[tail.written..]).is_err() {
+                return self.park_failed(idx, w, std::iter::once(tail.frame));
+            }
+            self.sub_depth(idx, 1);
+            self.frames_per_flush.record(1);
+        }
         loop {
             if self.stop.load(Ordering::SeqCst) {
                 return FlushState::Idle;
@@ -308,24 +517,7 @@ impl SenderInner {
                     if sent > 0 {
                         self.frames_per_flush.record(sent as u64);
                     }
-                    let mut q = self.peers[idx].queue.lock();
-                    for mut f in batch.into_iter().skip(sent).rev() {
-                        self.mark_requeued(&mut f);
-                        q.push_front(f);
-                    }
-                    // Frames enqueued during the failed write may have
-                    // pushed the outbox past its bound: drop-oldest back
-                    // under the cap.
-                    while self.peers[idx].depth.load(Ordering::Relaxed) > self.policy.queue_cap {
-                        if q.pop_front().is_none() {
-                            break;
-                        }
-                        self.sub_depth(idx, 1);
-                        self.frames_abandoned.inc();
-                    }
-                    drop(q);
-                    self.back_off(w);
-                    return FlushState::Backoff(w.next_attempt);
+                    return self.park_failed(idx, w, batch.into_iter().skip(sent));
                 }
             }
         }
@@ -343,51 +535,30 @@ impl SenderInner {
         batch: &[QueuedFrame],
     ) -> Result<(), usize> {
         if w.conn.is_none() {
-            match TcpStream::connect_timeout(&self.addrs[idx], self.connect_timeout) {
-                Ok(stream) => {
-                    let _ = stream.set_nodelay(true);
-                    let _ = stream.set_write_timeout(Some(WRITE_STALL_TIMEOUT));
-                    self.connects.inc();
-                    if w.ever_connected {
-                        self.reconnects.inc();
-                    }
-                    w.ever_connected = true;
-                    w.conn = Some(stream);
-                }
-                Err(_) => return Err(0),
+            let stream = TcpStream::connect_timeout(&self.addrs[idx], self.connect_timeout)
+                .map_err(|_| 0usize)?;
+            let _ = stream.set_nodelay(true);
+            // The timeout bounds the writer's blocking writes; the
+            // nonblocking mode keeps the direct path from ever blocking.
+            stream
+                .set_write_timeout(Some(WRITE_STALL_TIMEOUT))
+                .and_then(|()| stream.set_nonblocking(true))
+                .map_err(|_| 0usize)?;
+            self.connects.inc();
+            if w.ever_connected {
+                self.reconnects.inc();
             }
+            w.ever_connected = true;
+            w.conn = Some(stream);
         }
         w.buf.clear();
         w.bounds.clear();
         for f in batch {
-            w.buf
-                .extend_from_slice(&(f.env.frame.len() as u32).to_be_bytes());
-            w.buf.extend_from_slice(&f.env.from.0.to_be_bytes());
-            w.buf.extend_from_slice(&f.env.frame);
+            f.encode_into(&mut w.buf);
             w.bounds.push(w.buf.len());
         }
         let stream = w.conn.as_mut().expect("just connected");
-        let mut off = 0usize;
-        let mut failed = false;
-        while off < w.buf.len() {
-            match stream.write(&w.buf[off..]) {
-                Ok(0) => {
-                    failed = true;
-                    break;
-                }
-                Ok(n) => off += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    failed = true;
-                    break;
-                }
-            }
-        }
-        if !failed {
-            return Ok(());
-        }
-        w.conn = None; // reconnect on the next attempt
-        Err(w.bounds.iter().filter(|&&b| b <= off).count())
+        write_stalling(stream, &w.buf).map_err(|off| w.bounds.iter().filter(|&&b| b <= off).count())
     }
 
     fn pending_frames(&self) -> usize {
@@ -399,16 +570,25 @@ impl SenderInner {
 }
 
 /// One writer thread per peer: sleeps on the kick channel, flushes on
-/// wakeup. Kicks arrive from `Wire::send` (new frame), `shutdown`, and
-/// every fault-panel transition (so a heal drains parked frames
+/// wakeup. Kicks arrive from `Wire::send` (new frame or tail), `shutdown`,
+/// and every fault-panel transition (so a heal drains parked frames
 /// immediately, with no timed polling anywhere).
 fn writer_loop(inner: Arc<SenderInner>, idx: usize, kick: Receiver<()>) {
-    let mut w = WriterConn::new();
     loop {
         if inner.stop.load(Ordering::SeqCst) {
             return;
         }
-        let received = match inner.flush_peer(idx, &mut w) {
+        let peer = &inner.peers[idx];
+        // With nothing pending there is nothing to flush: leave the
+        // connection lock to the direct path rather than take it for a
+        // stale kick. Otherwise the lock is released before sleeping,
+        // reopening the direct path.
+        let state = if peer.depth.load(Ordering::Relaxed) == 0 {
+            FlushState::Idle
+        } else {
+            inner.flush_peer(idx, &mut peer.conn.lock())
+        };
+        let received = match state {
             FlushState::Idle | FlushState::Parked => {
                 kick.recv().map_err(|_| RecvTimeoutError::Disconnected)
             }
@@ -427,8 +607,9 @@ fn writer_loop(inner: Arc<SenderInner>, idx: usize, kick: Receiver<()>) {
     }
 }
 
-/// The sending half: a bounded outbox plus a dedicated writer thread per
-/// peer. `send` never performs socket I/O on the calling thread.
+/// The sending half: a connection, a bounded outbox and a dedicated
+/// writer thread per peer. `send` never blocks: it writes into an
+/// established nonblocking socket or enqueues for the writer.
 pub struct TcpSender {
     inner: Arc<SenderInner>,
     writers: Mutex<Vec<std::thread::JoinHandle<()>>>,
@@ -452,8 +633,8 @@ impl TcpSender {
     /// Like [`TcpSender::new`], recording pipeline telemetry into `obs`:
     /// connection churn counters (`tcp_connects`, `tcp_reconnects`,
     /// `tcp_frames_requeued`, `tcp_frames_abandoned`), the
-    /// `tcp_outbox_depth` gauge, and the `tcp_frames_per_flush` /
-    /// `send_enqueue_ns` histograms.
+    /// `tcp_direct_writes` counter, the `tcp_outbox_depth` gauge, and the
+    /// `tcp_frames_per_flush` / `send_enqueue_ns` histograms.
     pub fn with_obs(addrs: Vec<SocketAddr>, obs: &Obs) -> Self {
         let panel = FaultPanel::new(addrs.len(), obs);
         Self::with_panel(addrs, obs, panel, BackoffPolicy::default())
@@ -475,6 +656,7 @@ impl TcpSender {
             peers.push(PeerOutbox {
                 queue: Mutex::new(VecDeque::new()),
                 depth: AtomicUsize::new(0),
+                conn: Mutex::new(WriterConn::new()),
                 kick: tx,
             });
             kick_rxs.push(rx);
@@ -491,6 +673,7 @@ impl TcpSender {
             reconnects: obs.registry().counter("tcp_reconnects"),
             frames_requeued: obs.registry().counter("tcp_frames_requeued"),
             frames_abandoned: obs.registry().counter("tcp_frames_abandoned"),
+            direct_writes: obs.registry().counter("tcp_direct_writes"),
             outbox_depth: obs.registry().gauge("tcp_outbox_depth"),
             frames_per_flush: obs.registry().histogram("tcp_frames_per_flush"),
             enqueue_ns: obs.registry().histogram("send_enqueue_ns"),
@@ -520,19 +703,19 @@ impl TcpSender {
         }
     }
 
-    /// The fault panel this sender's writers consult on every flush.
+    /// The fault panel this sender consults before every write.
     pub fn fault_panel(&self) -> &FaultPanel {
         &self.inner.panel
     }
 
-    /// Frames currently pending (queued or in a writer's in-flight batch)
-    /// across all peers.
+    /// Frames currently pending (queued, in a writer's in-flight batch,
+    /// or half-written) across all peers.
     pub fn pending_frames(&self) -> usize {
         self.inner.pending_frames()
     }
 
-    /// Stops and joins every writer thread; pending frames are dropped.
-    /// Called automatically on drop.
+    /// Stops and joins every writer thread and closes every connection;
+    /// pending frames are dropped. Called automatically on drop.
     pub fn shutdown(&self) {
         self.inner.stop.store(true, Ordering::SeqCst);
         for p in &self.inner.peers {
@@ -540,6 +723,10 @@ impl TcpSender {
         }
         for t in self.writers.lock().drain(..) {
             let _ = t.join();
+        }
+        // With no connection, later sends can only enqueue.
+        for p in &self.inner.peers {
+            p.conn.lock().conn = None;
         }
     }
 }
@@ -551,27 +738,24 @@ impl Wire for TcpSender {
         if idx >= self.inner.addrs.len() {
             return; // no such peer: drop, like the channel transport
         }
-        let peer = &self.inner.peers[idx];
-        {
-            let mut q = peer.queue.lock();
-            // Drop-oldest at the bound. With every queued frame in a
-            // writer's in-flight batch there is nothing to pop; the bound
-            // is restored by the writer's post-failure trim.
-            if peer.depth.load(Ordering::Relaxed) >= self.inner.policy.queue_cap
-                && q.pop_front().is_some()
+        if let Some(frame) = self.inner.send_direct(idx, QueuedFrame::new(env)) {
+            let peer = &self.inner.peers[idx];
             {
-                self.inner.sub_depth(idx, 1);
-                self.inner.frames_abandoned.inc();
+                let mut q = peer.queue.lock();
+                // Drop-oldest at the bound. With every queued frame in a
+                // writer's in-flight batch there is nothing to pop; the
+                // bound is restored by the writer's post-failure trim.
+                if peer.depth.load(Ordering::Relaxed) >= self.inner.policy.queue_cap
+                    && q.pop_front().is_some()
+                {
+                    self.inner.sub_depth(idx, 1);
+                    self.inner.frames_abandoned.inc();
+                }
+                q.push_back(frame);
+                self.inner.add_depth(idx);
             }
-            q.push_back(QueuedFrame {
-                env,
-                requeued: false,
-                loss_rolled: false,
-            });
-            peer.depth.fetch_add(1, Ordering::Relaxed);
-            self.inner.outbox_depth.add(1);
+            let _ = peer.kick.send(());
         }
-        let _ = peer.kick.send(());
         self.inner
             .enqueue_ns
             .record(started.elapsed().as_nanos() as u64);
@@ -688,56 +872,128 @@ fn accept_loop(
     }
 }
 
-/// Reads exactly `buf.len()` bytes, treating the read timeout installed
-/// by the accept loop as a cue to re-check `stop` rather than an error.
-/// Returns `false` on EOF, a real error, or shutdown.
-fn read_full(stream: &mut TcpStream, buf: &mut [u8], stop: &AtomicBool) -> bool {
-    let mut off = 0;
-    while off < buf.len() {
-        if stop.load(Ordering::SeqCst) {
-            return false;
+/// Incremental parser of the `[len][sender][payload]` stream of one
+/// connection over a fixed [`READ_BUF`]-byte buffer: [`FrameReader::fill`]
+/// reads once, [`FrameReader::next_frame`] then yields every complete
+/// frame the read brought in.
+struct FrameReader {
+    buf: Vec<u8>,
+    /// Start of the unparsed bytes in `buf`.
+    start: usize,
+    /// End of the bytes read into `buf`.
+    end: usize,
+}
+
+/// A length prefix above [`MAX_FRAME`]: the stream is corrupt and the
+/// connection must be dropped.
+#[derive(Debug)]
+struct CorruptFrame;
+
+impl FrameReader {
+    fn new() -> Self {
+        FrameReader {
+            buf: vec![0; READ_BUF],
+            start: 0,
+            end: 0,
         }
-        match stream.read(&mut buf[off..]) {
-            Ok(0) => return false,
-            Ok(n) => off += n,
+    }
+
+    /// Bytes the frame being assembled needs in all, header included
+    /// (just the header while its length is still unknown).
+    fn pending_len(&self) -> usize {
+        let avail = &self.buf[self.start..self.end];
+        if avail.len() < HEADER {
+            return HEADER;
+        }
+        let len = u32::from_be_bytes(avail[..4].try_into().expect("4 bytes"));
+        HEADER + len as usize
+    }
+
+    /// One `read` from `src` into the buffer. A partial frame left by the
+    /// last read moves to the front first; the buffer grows to hold it if
+    /// it is larger than [`READ_BUF`] and shrinks back afterwards.
+    fn fill(&mut self, src: &mut impl Read) -> std::io::Result<usize> {
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        // `next_frame` has rejected any length above MAX_FRAME by now, so
+        // this stays bounded.
+        let want = self.pending_len().max(READ_BUF);
+        if self.buf.len() != want {
+            self.buf.resize(want, 0);
+            self.buf.shrink_to(want);
+        }
+        let n = src.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
+    }
+
+    /// The next complete frame in the buffer, `Ok(None)` if more bytes
+    /// are needed.
+    fn next_frame(&mut self) -> Result<Option<(NodeId, Bytes)>, CorruptFrame> {
+        let avail = &self.buf[self.start..self.end];
+        if avail.len() < HEADER {
+            return Ok(None);
+        }
+        let len = u32::from_be_bytes(avail[..4].try_into().expect("4 bytes"));
+        if len > MAX_FRAME {
+            return Err(CorruptFrame);
+        }
+        let total = HEADER + len as usize;
+        if avail.len() < total {
+            return Ok(None);
+        }
+        let from = u32::from_be_bytes(avail[4..HEADER].try_into().expect("4 bytes"));
+        let frame = Bytes::copy_from_slice(&avail[HEADER..total]);
+        self.start += total;
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+        }
+        Ok(Some((NodeId(from), frame)))
+    }
+}
+
+/// Reads frames from `src` into `deliver` until EOF, a read error, a
+/// corrupt length, shutdown, or `deliver` returning `false`. The read
+/// timeout installed by the accept loop surfaces as `WouldBlock` or
+/// `TimedOut` and is a cue to re-check `stop`, not an error.
+fn pump_frames(
+    src: &mut impl Read,
+    stop: &AtomicBool,
+    mut deliver: impl FnMut(NodeId, Bytes) -> bool,
+) {
+    let mut reader = FrameReader::new();
+    while !stop.load(Ordering::SeqCst) {
+        match reader.fill(src) {
+            Ok(0) => return,
+            Ok(_) => loop {
+                match reader.next_frame() {
+                    Ok(Some((from, frame))) => {
+                        if !deliver(from, frame) {
+                            return;
+                        }
+                    }
+                    Ok(None) => break,
+                    Err(CorruptFrame) => return, // drop the connection
+                }
+            },
             Err(e)
                 if matches!(
                     e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
                 ) => {}
-            Err(_) => return false,
+            Err(_) => return,
         }
     }
-    true
 }
 
 fn read_loop(mut stream: TcpStream, inbox: Sender<NodeEvent>, stop: Arc<AtomicBool>) {
-    let mut header = [0u8; 8];
-    loop {
-        if !read_full(&mut stream, &mut header, &stop) {
-            return;
-        }
-        let len = u32::from_be_bytes(header[..4].try_into().expect("4 bytes"));
-        let from = u32::from_be_bytes(header[4..].try_into().expect("4 bytes"));
-        if len > MAX_FRAME {
-            return; // corrupt stream: drop the connection
-        }
-        let mut payload = vec![0u8; len as usize];
-        if !read_full(&mut stream, &mut payload, &stop) {
-            return;
-        }
-        if inbox
-            .send(NodeEvent::Wire {
-                from: NodeId(from),
-                frame: Bytes::from(payload),
-            })
-            .is_err()
-        {
-            return;
-        }
-    }
+    pump_frames(&mut stream, &stop, |from, frame| {
+        inbox.send(NodeEvent::Wire { from, frame }).is_ok()
+    });
 }
 
 #[cfg(test)]
@@ -965,6 +1221,27 @@ mod tests {
     }
 
     #[test]
+    fn direct_path_never_overtakes_a_pending_frame() {
+        let (tx, rx) = unbounded();
+        let recv = TcpReceiver::bind(loopback(), tx).expect("bind");
+        let sender = TcpSender::new(vec![recv.local_addr()]);
+        sender.send(env_to0(1, b"connect"));
+        assert_eq!(&recv_frame(&rx, Duration::from_secs(5))[..], b"connect");
+        assert!(eventually(|| sender.pending_frames() == 0));
+        // A frame the writer has not drained yet, as if enqueued while it
+        // held the connection: the link is connected and unblocked, but
+        // the next send must still queue behind it.
+        sender.inner.peers[0]
+            .queue
+            .lock()
+            .push_back(QueuedFrame::new(env_to0(1, b"first")));
+        sender.inner.add_depth(0);
+        sender.send(env_to0(1, b"second"));
+        assert_eq!(&recv_frame(&rx, Duration::from_secs(5))[..], b"first");
+        assert_eq!(&recv_frame(&rx, Duration::from_secs(5))[..], b"second");
+    }
+
+    #[test]
     fn shutdown_joins_writers_promptly_with_dead_peer() {
         let (tx, _rx) = unbounded();
         let mut recv = TcpReceiver::bind(loopback(), tx).expect("bind");
@@ -997,6 +1274,103 @@ mod tests {
             "shutdown hung: {:?}",
             started.elapsed()
         );
+    }
+
+    /// A `Read` that hands out its bytes in the given chunks, one chunk
+    /// per call, then reports EOF. Chunks must be non-empty: an empty
+    /// read means EOF.
+    struct Chunks(VecDeque<Vec<u8>>);
+
+    impl Read for Chunks {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            let Some(mut chunk) = self.0.pop_front() else {
+                return Ok(0);
+            };
+            let n = chunk.len().min(out.len());
+            out[..n].copy_from_slice(&chunk[..n]);
+            if n < chunk.len() {
+                self.0.push_front(chunk.split_off(n));
+            }
+            Ok(n)
+        }
+    }
+
+    fn encoded(from: u32, payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        QueuedFrame::new(Envelope {
+            from: NodeId(from),
+            to: NodeId(0),
+            frame: Bytes::copy_from_slice(payload),
+        })
+        .encode_into(&mut out);
+        out
+    }
+
+    fn pump_all(chunks: Vec<Vec<u8>>) -> Vec<(NodeId, Bytes)> {
+        let mut got = Vec::new();
+        pump_frames(
+            &mut Chunks(chunks.into()),
+            &AtomicBool::new(false),
+            |from, frame| {
+                got.push((from, frame));
+                true
+            },
+        );
+        got
+    }
+
+    #[test]
+    fn reader_reassembles_frames_split_at_every_byte_boundary() {
+        let frames: Vec<(u32, Vec<u8>)> =
+            vec![(1, b"first".to_vec()), (2, Vec::new()), (3, vec![7u8; 300])];
+        let stream: Vec<u8> = frames.iter().flat_map(|(f, p)| encoded(*f, p)).collect();
+        let expected: Vec<(NodeId, Bytes)> = frames
+            .iter()
+            .map(|(f, p)| (NodeId(*f), Bytes::copy_from_slice(p)))
+            .collect();
+        for split in 0..=stream.len() {
+            let (head, rest) = stream.split_at(split);
+            let chunks = [head, rest]
+                .into_iter()
+                .filter(|c| !c.is_empty())
+                .map(<[u8]>::to_vec)
+                .collect();
+            assert_eq!(pump_all(chunks), expected, "split at byte {split}");
+        }
+        let bytewise = stream.iter().map(|&b| vec![b]).collect();
+        assert_eq!(pump_all(bytewise), expected, "one byte per read");
+    }
+
+    #[test]
+    fn reader_grows_for_a_frame_larger_than_its_buffer_then_shrinks() {
+        let big = vec![0xabu8; 3 * READ_BUF + 5];
+        let mut stream = encoded(4, &big);
+        stream.extend(encoded(5, b"after"));
+        let mut reader = FrameReader::new();
+        let mut src = Chunks(vec![stream].into());
+        let mut got = Vec::new();
+        while reader.fill(&mut src).expect("in-memory read") > 0 {
+            while let Some(frame) = reader.next_frame().expect("well-formed") {
+                got.push(frame);
+            }
+        }
+        assert_eq!(got.len(), 2);
+        assert_eq!((got[0].0, &got[0].1[..]), (NodeId(4), &big[..]));
+        assert_eq!((got[1].0, &got[1].1[..]), (NodeId(5), &b"after"[..]));
+        assert_eq!(reader.buf.len(), READ_BUF, "back to the steady-state size");
+        assert!(
+            reader.buf.capacity() < 2 * READ_BUF,
+            "oversized buffer released"
+        );
+    }
+
+    #[test]
+    fn reader_drops_a_corrupt_length_and_delivers_nothing() {
+        let mut stream = Vec::new();
+        stream.extend_from_slice(&(MAX_FRAME + 1).to_be_bytes());
+        stream.extend_from_slice(&1u32.to_be_bytes());
+        stream.extend(encoded(1, b"never parsed"));
+        assert!(pump_all(vec![stream]).is_empty());
     }
 
     #[test]

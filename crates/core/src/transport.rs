@@ -82,13 +82,14 @@ impl NetOptions {
 pub trait Wire: Send + Sync + 'static {
     /// Best-effort delivery of one envelope.
     ///
-    /// **Must not block the caller on network I/O.** Protocol threads
-    /// call this while driving request collection and token forwarding;
-    /// an implementation that performs connects or writes inline couples
-    /// every shard's latency to the slowest peer. The TCP transport only
-    /// enqueues into a bounded per-peer outbox and hands the frame to a
-    /// writer thread; the channel transport forwards over an unbounded
-    /// in-process channel. Both are O(enqueue) on the calling thread.
+    /// **Must never block the caller.** Protocol threads call this while
+    /// driving request collection and token forwarding; an
+    /// implementation that connects, or writes into a socket that can
+    /// stall, couples every shard's latency to the slowest peer. The TCP
+    /// transport writes into an already-established nonblocking socket
+    /// when nothing is pending for that peer, and otherwise enqueues into
+    /// a bounded per-peer outbox for a writer thread; the channel
+    /// transport forwards over an unbounded in-process channel.
     fn send(&self, env: Envelope);
 }
 

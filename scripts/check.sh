@@ -17,6 +17,10 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
+echo "==> workspace tests: crate-internal unit tests and vendored shims"
+# Tier-1 `cargo test -q` covers only the root package.
+cargo test -q --workspace
+
 echo "==> rustdoc gate: cargo doc --no-deps -D warnings"
 # Explicit -p list: the vendored stand-ins are workspace members and are
 # not held to the documentation bar.
@@ -38,5 +42,8 @@ cargo test -q --test tcp_pipeline
 
 echo "==> tcp bench smoke: grant latency, healthy vs one peer dead"
 cargo run --release --quiet -p tokq-bench --bin tcp_pipeline -- --rounds 3
+
+echo "==> perfbench smoke: 2-s contended TCP run with its correctness checks"
+python3 perfbench/run.py --workload tcp_contended --seed 1 --seconds 2 --trace 0 >/dev/null
 
 echo "==> all checks passed"
