@@ -148,6 +148,101 @@ impl FaultPlan {
     pub fn is_empty(&self) -> bool {
         self.faults.is_empty() && self.partitions.is_empty()
     }
+
+    /// Splits the plan in one pass into what the simulator consults per
+    /// message: crash/recover events go to `node_event` in plan order,
+    /// token drops come back as a cursor, and loss windows apart from
+    /// every other fault.
+    pub(crate) fn index(
+        &self,
+        mut node_event: impl FnMut(SimTime, NodeId, bool),
+    ) -> (TokenDrops, LossWindows) {
+        let mut drops = Vec::new();
+        let mut windows = Vec::new();
+        for (i, f) in self.faults.iter().enumerate() {
+            match *f {
+                Fault::Crash { at, node } => node_event(at, node, true),
+                Fault::Recover { at, node } => node_event(at, node, false),
+                Fault::LossWindow { from, until, prob } => windows.push((from, until, prob)),
+                Fault::DropToken { at, count } => {
+                    // One allocation for a plan of many drops, none for
+                    // a plan of none.
+                    if drops.is_empty() {
+                        drops.reserve(self.faults.len() - i);
+                    }
+                    drops.push((at, count));
+                }
+            }
+        }
+        (TokenDrops::new(drops), LossWindows(windows))
+    }
+}
+
+/// A plan's [`Fault::DropToken`] directives as a cursor over time.
+///
+/// Token messages are sent at nondecreasing times, so once a directive's
+/// time has passed it stays active for the rest of the run, and which
+/// active directive pays for a drop never changes a later decision. The
+/// cursor therefore folds each directive's count into one `available`
+/// total as time passes it: every lookup is amortised O(1) however long
+/// the plan is.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct TokenDrops {
+    /// Directives sorted by time.
+    drops: Vec<(SimTime, u32)>,
+    /// Directives before this index are folded into `available`.
+    next: usize,
+    /// Drops owed by directives whose time has come.
+    available: u64,
+}
+
+impl TokenDrops {
+    fn new(mut drops: Vec<(SimTime, u32)>) -> Self {
+        if !drops.is_sorted_by_key(|d| d.0) {
+            drops.sort_by_key(|d| d.0);
+        }
+        TokenDrops {
+            drops,
+            next: 0,
+            available: 0,
+        }
+    }
+
+    /// Whether the token message sent at `now` is dropped, spending one
+    /// drop if so. `now` must not decrease between calls.
+    pub(crate) fn take(&mut self, now: SimTime) -> bool {
+        while let Some(&(at, count)) = self.drops.get(self.next) {
+            if at > now {
+                break;
+            }
+            self.available += u64::from(count);
+            self.next += 1;
+        }
+        if self.available == 0 {
+            return false;
+        }
+        self.available -= 1;
+        true
+    }
+}
+
+/// Only the [`Fault::LossWindow`] directives of a plan, so a message's
+/// loss lookup never walks the plan's other faults.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LossWindows(Vec<(SimTime, SimTime, f64)>);
+
+impl LossWindows {
+    /// Extra loss probability applying to a message sent at `now`; the
+    /// same value as [`FaultPlan::extra_loss_at`].
+    pub(crate) fn at(&self, now: SimTime) -> f64 {
+        let mut p = 0.0f64;
+        for &(from, until, prob) in &self.0 {
+            if now >= from && now < until {
+                p = p.max(prob);
+            }
+        }
+        p
+    }
 }
 
 #[cfg(test)]
@@ -221,6 +316,95 @@ mod tests {
             });
         assert_eq!(plan.extra_loss_at(SimTime::from_secs_f64(5.5)), 0.9);
         assert_eq!(plan.extra_loss_at(SimTime::from_secs_f64(7.0)), 0.1);
+    }
+
+    #[test]
+    fn index_passes_node_events_in_plan_order() {
+        let t = SimTime::from_secs_f64;
+        let plan = FaultPlan::none()
+            .recover(NodeId(1), t(3.0))
+            .drop_token(t(9.0), 2)
+            .crash(NodeId(1), t(2.0))
+            .drop_token(t(1.0), 1);
+        let mut events = Vec::new();
+        let (mut drops, windows) = plan.index(|at, node, crash| events.push((at, node, crash)));
+        assert_eq!(events, plan.node_events().collect::<Vec<_>>());
+        assert_eq!(windows.at(t(5.0)), 0.0);
+        // The later-listed, earlier-timed directive fires first.
+        assert!(!drops.take(t(0.5)));
+        assert!(drops.take(t(1.0)));
+        assert!(!drops.take(t(8.0)));
+        assert!(drops.take(t(9.5)));
+        assert!(drops.take(t(9.5)));
+        assert!(!drops.take(t(100.0)));
+    }
+
+    mod prop {
+        use super::*;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        /// The simulator's token-drop rule before the plan was indexed:
+        /// the first directive in plan order that is active and not yet
+        /// spent pays for the drop.
+        fn first_active_scan(drops: &mut [(SimTime, u32)], now: SimTime) -> bool {
+            for drop in drops {
+                if now >= drop.0 && drop.1 > 0 {
+                    drop.1 -= 1;
+                    return true;
+                }
+            }
+            false
+        }
+
+        proptest! {
+            #[test]
+            fn token_drop_cursor_matches_linear_scan(
+                directives in vec((0u64..40, 0u32..4), 0..12),
+                windows in vec((0u64..40, 0u64..20, 0.0f64..1.0), 0..4),
+                gaps in vec(0u64..6, 0..80),
+            ) {
+                let mut plan = FaultPlan::none();
+                for &(from, len, prob) in &windows {
+                    plan = plan.with(Fault::LossWindow {
+                        from: SimTime::from_nanos(from),
+                        until: SimTime::from_nanos(from + len),
+                        prob,
+                    });
+                }
+                for &(at, count) in &directives {
+                    plan = plan.drop_token(SimTime::from_nanos(at), count);
+                }
+                let mut reference: Vec<(SimTime, u32)> = plan.token_drops().collect();
+                let (mut cursor, loss) = plan.index(|_, _, _| unreachable!("no node events"));
+                let mut now = 0u64;
+                for gap in gaps {
+                    now += gap;
+                    let t = SimTime::from_nanos(now);
+                    prop_assert_eq!(cursor.take(t), first_active_scan(&mut reference, t));
+                    prop_assert_eq!(loss.at(t), plan.extra_loss_at(t));
+                }
+            }
+
+            #[test]
+            fn loss_windows_match_extra_loss_at(
+                windows in vec((0u64..100, 0u64..50, 0.0f64..1.0), 0..8),
+                probes in vec(0u64..160, 1..40),
+            ) {
+                let plan = windows.iter().fold(FaultPlan::none(), |plan, &(from, len, prob)| {
+                    plan.with(Fault::LossWindow {
+                        from: SimTime::from_nanos(from),
+                        until: SimTime::from_nanos(from + len),
+                        prob,
+                    })
+                });
+                let (_, loss) = plan.index(|_, _, _| unreachable!("no node events"));
+                for t in probes {
+                    let t = SimTime::from_nanos(t);
+                    prop_assert_eq!(loss.at(t), plan.extra_loss_at(t));
+                }
+            }
+        }
     }
 }
 

@@ -19,8 +19,8 @@ pub struct Collector {
     cs_total: u64,
     arrivals: u64,
     msgs_total: u64,
-    msgs_by_kind: BTreeMap<&'static str, u64>,
-    notes: BTreeMap<&'static str, u64>,
+    msgs_by_kind: Tally,
+    notes: Tally,
     per_node_cs: Vec<u64>,
 
     warmed_up: bool,
@@ -42,8 +42,8 @@ impl Collector {
             cs_total: 0,
             arrivals: 0,
             msgs_total: 0,
-            msgs_by_kind: BTreeMap::new(),
-            notes: BTreeMap::new(),
+            msgs_by_kind: Tally::default(),
+            notes: Tally::default(),
             per_node_cs: vec![0; n],
             warmed_up: warmup_cs == 0,
             msgs_at_warmup: 0,
@@ -58,12 +58,12 @@ impl Collector {
     /// Records one transmitted message of the given kind.
     pub fn message(&mut self, kind: &'static str) {
         self.msgs_total += 1;
-        *self.msgs_by_kind.entry(kind).or_insert(0) += 1;
+        self.msgs_by_kind.add(kind);
     }
 
     /// Records a protocol note.
     pub fn note(&mut self, note: Note) {
-        *self.notes.entry(note.label()).or_insert(0) += 1;
+        self.notes.add(note.label());
     }
 
     /// Records an application request arrival.
@@ -130,22 +130,43 @@ impl Collector {
             arrivals: self.arrivals,
             messages_total: self.msgs_total,
             messages_measured: self.msgs_total - self.msgs_at_warmup,
-            messages_by_kind: self
-                .msgs_by_kind
-                .into_iter()
-                .map(|(k, v)| (k.to_owned(), v))
-                .collect(),
-            notes: self
-                .notes
-                .into_iter()
-                .map(|(k, v)| (k.to_owned(), v))
-                .collect(),
+            messages_by_kind: self.msgs_by_kind.into_map(),
+            notes: self.notes.into_map(),
             per_node_cs: self.per_node_cs,
             per_cs_messages: self.per_cs_messages,
             delay: self.delay,
             grant_latency: self.grant_latency,
             sojourn: self.sojourn,
         }
+    }
+}
+
+/// Counts per static label, one slot per label in first-seen order.
+///
+/// Labels come from `&'static str` literals, so a label is almost always
+/// found by address over a handful of slots, with no string comparison;
+/// the same text at another address falls back to comparing text.
+#[derive(Debug, Clone, Default)]
+struct Tally(Vec<(&'static str, u64)>);
+
+impl Tally {
+    fn add(&mut self, label: &'static str) {
+        let slots = &mut self.0;
+        let i = match slots.iter().position(|&(l, _)| std::ptr::eq(l, label)) {
+            Some(i) => i,
+            None => match slots.iter().position(|&(l, _)| l == label) {
+                Some(i) => i,
+                None => {
+                    slots.push((label, 0));
+                    slots.len() - 1
+                }
+            },
+        };
+        slots[i].1 += 1;
+    }
+
+    fn into_map(self) -> BTreeMap<String, u64> {
+        self.0.into_iter().map(|(l, c)| (l.to_owned(), c)).collect()
     }
 }
 
@@ -282,6 +303,20 @@ mod tests {
         assert!(r.messages_per_cs().is_nan());
         assert_eq!(r.forwarded_fraction(), 0.0);
         assert_eq!(r.jain_fairness(), 1.0);
+    }
+
+    #[test]
+    fn tally_merges_equal_labels_at_other_addresses() {
+        let mut c = Collector::new(1, 0);
+        let elsewhere: &'static str = String::from("REQUEST").leak();
+        c.message("REQUEST");
+        c.message("PRIVILEGE");
+        c.message(elsewhere);
+        c.message("REQUEST");
+        let r = c.finish(SimTime::ZERO, 0);
+        assert_eq!(r.kind_count("REQUEST"), 3);
+        assert_eq!(r.kind_count("PRIVILEGE"), 1);
+        assert_eq!(r.messages_by_kind.len(), 2);
     }
 
     #[test]

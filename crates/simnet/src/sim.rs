@@ -7,15 +7,16 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use serde::{Deserialize, Serialize};
-use tokq_obs::{Obs, Source};
+use tokq_obs::{Histogram, Level, Obs, Source};
 use tokq_protocol::api::{Protocol, ProtocolFactory, ProtocolMessage};
 use tokq_protocol::event::{Action, Input};
 use tokq_protocol::types::{NodeId, TimeDelta};
 
 use crate::arrivals::{ArrivalProcess, Pacing, WorkloadSpec};
-use crate::fault::FaultPlan;
+use crate::fault::{FaultPlan, LossWindows, TokenDrops};
 use crate::metrics::{Collector, Report};
 use crate::network::{DelayModel, Unreliability};
 use crate::rng::SimRng;
@@ -87,28 +88,136 @@ enum EventKind<M, T> {
     Recover { node: NodeId },
 }
 
-struct HeapEntry<M, T> {
+/// A compact heap key: the heap orders and moves only these, while the
+/// event payloads stay put in the [`EventQueue`] slab at `slot`.
+struct Key {
     at: SimTime,
     seq: u64,
-    kind: EventKind<M, T>,
+    slot: u32,
 }
 
-impl<M, T> PartialEq for HeapEntry<M, T> {
+impl PartialEq for Key {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
     }
 }
-impl<M, T> Eq for HeapEntry<M, T> {}
-impl<M, T> PartialOrd for HeapEntry<M, T> {
+impl Eq for Key {}
+impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<M, T> Ord for HeapEntry<M, T> {
+impl Ord for Key {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // BinaryHeap is a max-heap; reverse for earliest-first, with the
         // insertion sequence as a deterministic tie-break.
         Reverse((self.at, self.seq)).cmp(&Reverse((other.at, other.seq)))
+    }
+}
+
+/// One slab slot: a pending event, or a link in the free list.
+enum Slot<E> {
+    Full(E),
+    Free(u32),
+}
+
+/// End of the slab's free list.
+const NIL: u32 = u32::MAX;
+
+/// Pending events, earliest first, ties broken by insertion order.
+///
+/// The binary heap sifts 24-byte [`Key`]s; each payload is written once
+/// into a slab slot on push and moved out once on pop. Freed slots are
+/// threaded into a free list through the slab itself, so the slab grows
+/// only to the peak number of pending events.
+struct EventQueue<E> {
+    heap: BinaryHeap<Key>,
+    slab: Vec<Slot<E>>,
+    free: u32,
+    seq: u64,
+}
+
+impl<E> EventQueue<E> {
+    fn new() -> Self {
+        EventQueue {
+            heap: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: NIL,
+            seq: 0,
+        }
+    }
+
+    fn push(&mut self, at: SimTime, event: E) {
+        self.seq += 1;
+        let slot = if self.free == NIL {
+            self.slab.push(Slot::Full(event));
+            u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 pending events")
+        } else {
+            let slot = self.free;
+            match std::mem::replace(&mut self.slab[slot as usize], Slot::Full(event)) {
+                Slot::Free(next) => self.free = next,
+                Slot::Full(_) => unreachable!("free list points at a pending event"),
+            }
+            slot
+        };
+        self.heap.push(Key {
+            at,
+            seq: self.seq,
+            slot,
+        });
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, E)> {
+        let key = self.heap.pop()?;
+        let freed = Slot::Free(self.free);
+        self.free = key.slot;
+        match std::mem::replace(&mut self.slab[key.slot as usize], freed) {
+            Slot::Full(event) => Some((key.at, event)),
+            Slot::Free(_) => unreachable!("heap key points at a free slot"),
+        }
+    }
+}
+
+/// A small Fx-style hasher (as in rustc) for the timer-generation map:
+/// its keys are a node index and a timer enum, for which a multiply and
+/// a rotate per word hash well enough at a fraction of SipHash's cost.
+/// Iteration order of that map is never observed, so the hash cannot
+/// affect a run.
+#[derive(Default, Clone, Copy)]
+struct FxHasher(u64);
+
+impl FxHasher {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -144,17 +253,21 @@ pub struct Simulation<P: Protocol> {
     cfg: SimConfig,
     nodes: Vec<P>,
     drivers: Vec<NodeDriver>,
-    heap: BinaryHeap<HeapEntry<P::Msg, P::Timer>>,
-    seq: u64,
+    events: EventQueue<EventKind<P::Msg, P::Timer>>,
     now: SimTime,
     rng: SimRng,
-    timer_gen: HashMap<(u32, P::Timer), u64>,
+    timer_gen: HashMap<(u32, P::Timer), u64, BuildHasherDefault<FxHasher>>,
     collector: Collector,
     trace: Trace,
     obs: Obs,
+    /// The `span_ns/cs_grant` histogram of `obs`, fetched on the first
+    /// grant so a run pays the registry lookup once.
+    cs_grant: Option<Histogram>,
     faults: FaultPlan,
-    /// Remaining deterministic token drops: (active_from, remaining).
-    token_drops: Vec<(SimTime, u32)>,
+    /// The plan's deterministic token drops, as a cursor over time.
+    token_drops: TokenDrops,
+    /// The plan's loss windows.
+    loss_windows: LossWindows,
     /// Which node is currently inside its critical section, if any.
     cs_holder: Option<NodeId>,
 }
@@ -198,15 +311,16 @@ impl<P: Protocol> Simulation<P> {
         let mut sim = Simulation {
             nodes,
             drivers,
-            heap: BinaryHeap::new(),
-            seq: 0,
+            events: EventQueue::new(),
             now: SimTime::ZERO,
-            timer_gen: HashMap::new(),
+            timer_gen: HashMap::default(),
             collector,
             trace,
             obs: Obs::disabled(Source::Sim),
+            cs_grant: None,
             faults: FaultPlan::none(),
-            token_drops: Vec::new(),
+            token_drops: TokenDrops::default(),
+            loss_windows: LossWindows::default(),
             cs_holder: None,
             rng: rng.fork(),
             cfg,
@@ -234,6 +348,7 @@ impl<P: Protocol> Simulation<P> {
     #[must_use]
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
+        self.cs_grant = None;
         self
     }
 
@@ -245,15 +360,16 @@ impl<P: Protocol> Simulation<P> {
     /// Installs a fault plan (crashes, loss windows, token drops).
     #[must_use]
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
-        for (at, node, is_crash) in plan.node_events() {
+        let (token_drops, loss_windows) = plan.index(|at, node, is_crash| {
             let kind = if is_crash {
                 EventKind::Crash { node }
             } else {
                 EventKind::Recover { node }
             };
-            self.push_event(at, kind);
-        }
-        self.token_drops = plan.token_drops().collect();
+            self.events.push(at, kind);
+        });
+        self.token_drops = token_drops;
+        self.loss_windows = loss_windows;
         self.faults = plan;
         self
     }
@@ -306,19 +422,29 @@ impl<P: Protocol> Simulation<P> {
     // Event machinery
     // ------------------------------------------------------------------
 
-    fn push_event(&mut self, at: SimTime, kind: EventKind<P::Msg, P::Timer>) {
-        self.seq += 1;
-        self.heap.push(HeapEntry {
-            at,
-            seq: self.seq,
-            kind,
-        });
-    }
-
     /// Records one occurrence into the in-memory trace and, when the obs
     /// filter (or flight recorder) wants it, the obs stream.
-    fn record(&mut self, node: NodeId, kind: TraceKind) {
-        if self.obs.enabled(kind.target(), kind.level()) {
+    ///
+    /// `target` and `level` are those of the [`TraceKind`] the call site
+    /// records, so `kind` runs (and allocates) only when something takes
+    /// the record. The gate is read on every call: a flight recorder
+    /// attached through [`Simulation::obs`] mid-run starts receiving
+    /// records at once.
+    #[inline]
+    fn record(
+        &mut self,
+        node: NodeId,
+        target: &'static str,
+        level: Level,
+        kind: impl FnOnce() -> TraceKind,
+    ) {
+        let to_obs = self.obs.enabled(target, level);
+        if !to_obs && !self.trace.enabled() {
+            return;
+        }
+        let kind = kind();
+        debug_assert_eq!((kind.target(), kind.level()), (target, level));
+        if to_obs {
             let ev = TraceEvent {
                 at: self.now,
                 node,
@@ -333,26 +459,23 @@ impl<P: Protocol> Simulation<P> {
         if stop(self) {
             return;
         }
-        while let Some(entry) = self.heap.pop() {
+        while let Some((at, kind)) = self.events.pop() {
             if let Some(maxt) = self.cfg.max_sim_time {
-                if entry.at > maxt {
+                if at > maxt {
                     self.now = maxt;
                     break;
                 }
             }
-            debug_assert!(entry.at >= self.now, "event heap went backwards");
-            self.now = entry.at;
-            match entry.kind {
+            debug_assert!(at >= self.now, "event heap went backwards");
+            self.now = at;
+            match kind {
                 EventKind::Arrival { node } => self.on_arrival(node),
                 EventKind::Deliver { to, from, msg } => {
                     if self.drivers[to.index()].alive {
-                        self.record(
-                            to,
-                            TraceKind::Received {
-                                from,
-                                kind: msg.kind().to_owned(),
-                            },
-                        );
+                        self.record(to, "net", Level::Trace, || TraceKind::Received {
+                            from,
+                            kind: msg.kind().to_owned(),
+                        });
                         self.dispatch(to, Input::Deliver { from, msg });
                     }
                 }
@@ -381,7 +504,7 @@ impl<P: Protocol> Simulation<P> {
         if alive {
             self.collector.arrival();
             d.app_queue.push_back(self.now);
-            self.record(node, TraceKind::Arrival);
+            self.record(node, "node", Level::Debug, || TraceKind::Arrival);
         }
         // Open-loop streams keep their own cadence even across crashes;
         // closed-loop streams re-arm at completion instead.
@@ -397,7 +520,7 @@ impl<P: Protocol> Simulation<P> {
         let d = &mut self.drivers[node.index()];
         if let Some(delay) = d.process.next_delay(&mut self.rng) {
             let at = self.now + delay;
-            self.push_event(at, EventKind::Arrival { node });
+            self.events.push(at, EventKind::Arrival { node });
         }
     }
 
@@ -427,7 +550,7 @@ impl<P: Protocol> Simulation<P> {
             .expect("a node in its CS has an outstanding request");
         self.collector
             .cs_completed(node, arrived_at, requested_at, self.now);
-        self.record(node, TraceKind::ExitCs);
+        self.record(node, "node", Level::Debug, || TraceKind::ExitCs);
         self.dispatch(node, Input::CsDone);
         if self.drivers[node.index()].process.pacing() == Pacing::ClosedLoop {
             self.schedule_next_arrival(node);
@@ -447,7 +570,7 @@ impl<P: Protocol> Simulation<P> {
         }
         d.outstanding = None;
         d.app_queue.clear();
-        self.record(node, TraceKind::Crashed);
+        self.record(node, "node", Level::Info, || TraceKind::Crashed);
         self.dispatch(node, Input::Crash);
         self.drivers[node.index()].alive = false;
     }
@@ -458,7 +581,7 @@ impl<P: Protocol> Simulation<P> {
             return;
         }
         d.alive = true;
-        self.record(node, TraceKind::Recovered);
+        self.record(node, "node", Level::Info, || TraceKind::Recovered);
         self.dispatch(node, Input::Recover);
     }
 
@@ -483,7 +606,7 @@ impl<P: Protocol> Simulation<P> {
                     let gen = self.timer_gen.entry((src.0, timer)).or_insert(0);
                     *gen += 1;
                     let gen = *gen;
-                    self.push_event(
+                    self.events.push(
                         self.now + after,
                         EventKind::Timer {
                             node: src,
@@ -498,7 +621,9 @@ impl<P: Protocol> Simulation<P> {
                 Action::EnterCs => self.on_enter_cs(src),
                 Action::Note(note) => {
                     self.collector.note(note);
-                    self.record(src, TraceKind::Note(note.label().to_owned()));
+                    self.record(src, "arbiter", Level::Debug, || {
+                        TraceKind::Note(note.label().to_owned())
+                    });
                 }
             }
         }
@@ -527,30 +652,25 @@ impl<P: Protocol> Simulation<P> {
             .expect("EnterCs without an outstanding request");
         self.collector.cs_entered(requested_at, self.now);
         let waited_ns = self.now.since(requested_at).as_nanos();
-        self.obs.record_latency("cs_grant", waited_ns);
-        self.record(node, TraceKind::EnterCs);
+        let obs = &self.obs;
+        self.cs_grant
+            .get_or_insert_with(|| obs.registry().histogram_with("span_ns", "cs_grant"))
+            .record(waited_ns);
+        self.record(node, "node", Level::Debug, || TraceKind::EnterCs);
         let at = self.now + self.cfg.t_exec;
-        self.push_event(at, EventKind::CsExit { node, gen });
+        self.events.push(at, EventKind::CsExit { node, gen });
     }
 
     fn transmit(&mut self, from: NodeId, to: NodeId, msg: P::Msg) {
         let kind = msg.kind();
         self.collector.message(kind);
-        self.record(
-            from,
-            TraceKind::Sent {
-                to,
-                kind: kind.to_owned(),
-            },
-        );
+        self.record(from, "net", Level::Trace, || TraceKind::Sent {
+            to,
+            kind: kind.to_owned(),
+        });
         // Deterministic token-drop injection (paper §6's lost-token case).
-        if crate::fault::is_token_kind(kind) {
-            for drop in &mut self.token_drops {
-                if self.now >= drop.0 && drop.1 > 0 {
-                    drop.1 -= 1;
-                    return;
-                }
-            }
+        if crate::fault::is_token_kind(kind) && self.token_drops.take(self.now) {
+            return;
         }
         if self.faults.crosses_partition(from, to, self.now) {
             return;
@@ -559,7 +679,7 @@ impl<P: Protocol> Simulation<P> {
             .cfg
             .unreliability
             .loss
-            .max(self.faults.extra_loss_at(self.now));
+            .max(self.loss_windows.at(self.now));
         if self.rng.chance(loss) {
             return;
         }
@@ -568,10 +688,11 @@ impl<P: Protocol> Simulation<P> {
             .chance(self.cfg.unreliability.duplication)
             .then(|| msg.clone());
         let delay = self.cfg.delay.sample(&mut self.rng);
-        self.push_event(self.now + delay, EventKind::Deliver { to, from, msg });
+        self.events
+            .push(self.now + delay, EventKind::Deliver { to, from, msg });
         if let Some(copy) = duplicate {
             let delay = self.cfg.delay.sample(&mut self.rng);
-            self.push_event(
+            self.events.push(
                 self.now + delay,
                 EventKind::Deliver {
                     to,
@@ -698,6 +819,38 @@ mod tests {
         assert!(req > 0 && grant > 0 && rel > 0);
         // Every remote grant pairs with a release.
         assert!((grant as i64 - rel as i64).abs() <= 1);
+    }
+
+    mod prop {
+        use super::*;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        proptest! {
+            #[test]
+            fn event_queue_pops_by_time_then_insertion(
+                ops in vec((0u64..20, 0u32..3), 1..200),
+            ) {
+                // Op 0 pops; others push at the drawn time. Payloads are
+                // the insertion index, so the order is checked exactly.
+                let mut queue = EventQueue::new();
+                let mut reference = BinaryHeap::new();
+                let (mut pushed, mut peak) = (0u64, 0usize);
+                for (t, op) in ops.into_iter().chain(std::iter::repeat_n((0, 0), 200)) {
+                    if op == 0 {
+                        let want = reference.pop().map(|Reverse((at, i))| (at, i));
+                        prop_assert_eq!(queue.pop(), want);
+                    } else {
+                        pushed += 1;
+                        queue.push(SimTime::from_nanos(t), pushed);
+                        reference.push(Reverse((SimTime::from_nanos(t), pushed)));
+                        peak = peak.max(reference.len());
+                    }
+                }
+                // Freed slots are reused: the slab never outgrows the peak.
+                prop_assert_eq!(queue.slab.len(), peak);
+            }
+        }
     }
 
     #[test]

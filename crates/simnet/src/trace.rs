@@ -148,6 +148,11 @@ impl Trace {
         self.events.push(TraceEvent { at, node, kind });
     }
 
+    /// True when this trace records events.
+    pub fn enabled(&self) -> bool {
+        self.enabled
+    }
+
     /// The recorded events.
     pub fn events(&self) -> &[TraceEvent] {
         &self.events

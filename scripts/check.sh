@@ -46,4 +46,7 @@ cargo run --release --quiet -p tokq-bench --bin tcp_pipeline -- --rounds 3
 echo "==> perfbench smoke: 2-s contended TCP run with its correctness checks"
 python3 perfbench/run.py --workload tcp_contended --seed 1 --seconds 2 --trace 0 >/dev/null
 
+echo "==> perfbench smoke: 2-s simulated token-loss run with its determinism checks"
+python3 perfbench/run.py --workload sim_token_loss --seed 1 --seconds 2 --trace 0 >/dev/null
+
 echo "==> all checks passed"
