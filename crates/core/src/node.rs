@@ -625,7 +625,9 @@ impl NodeLoop {
                                     .on_node(u64::from(self.id.0)),
                             );
                         }
-                        Note::QListSealed { .. } => st.collection_span = None,
+                        Note::QListSealed { .. } | Note::SelfGrant => {
+                            st.collection_span = None;
+                        }
                         Note::ForwardingOpened { .. } => {
                             st.forwarding_span = Some(
                                 span!(self.obs, T_ARBITER, "forwarding_phase")

@@ -36,4 +36,4 @@ mod recovery;
 
 pub use config::{ArbiterConfig, Fairness, MonitorConfig, MonitorPeriod, RecoveryConfig};
 pub use messages::{ArbiterMsg, ArbiterTimer, Token, TokenStatus};
-pub use node::ArbiterNode;
+pub use node::{ArbiterNode, SELF_GRANT_ANNOUNCE_EVERY};

@@ -208,9 +208,7 @@ impl ArbiterNode {
             return;
         }
         if self.is_arbiter {
-            self.collect
-                .push_back(Entry::with_priority(requester, seq, priority));
-            self.maybe_arm_collection(out);
+            self.collect_remote(Entry::with_priority(requester, seq, priority), out);
         } else {
             self.monitor_store
                 .push_back(Entry::with_priority(requester, seq, priority));
@@ -227,9 +225,7 @@ impl ArbiterNode {
     ) {
         if self.is_arbiter {
             if !self.is_stale(requester, seq) {
-                self.collect
-                    .push_back(Entry::with_priority(requester, seq, priority));
-                self.maybe_arm_collection(out);
+                self.collect_remote(Entry::with_priority(requester, seq, priority), out);
             }
         } else if let Some(next) = self.forwarding_to {
             out.push(Action::Send {

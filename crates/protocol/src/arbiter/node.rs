@@ -18,6 +18,23 @@ use crate::types::{NodeId, Priority, SeqNum};
 /// Actions accumulated while processing one input.
 pub(crate) type Outbox = Vec<Action<ArbiterMsg, ArbiterTimer>>;
 
+/// Steady self-only seals after a streak reset that still seal normally
+/// (NEW-ARBITER broadcast, fresh round) before self-grants go silent.
+///
+/// Two broadcasts match the default `miss_grace`: a requester whose
+/// REQUEST was lost while the role changed hands sees itself missing
+/// twice and retransmits before the arbiter stops announcing.
+pub(crate) const SELF_GRANT_WARMUP: u32 = 2;
+
+/// Announce cadence of a silent self-grant streak: every this-many-th
+/// steady self-only seal seals normally and broadcasts NEW-ARBITER.
+///
+/// The announce keeps the paper's implicit acknowledgment (§6, "Lost
+/// Request") and the previous arbiter's handover watch alive: a requester
+/// whose REQUEST was lost during the streak is recovered after `miss_grace`
+/// announces rather than by the coarse `request_retry` timeout.
+pub const SELF_GRANT_ANNOUNCE_EVERY: u32 = 256;
+
 /// A node running the Banerjee–Chrysanthis token-passing algorithm.
 ///
 /// Construct via [`ArbiterConfig`] (which implements
@@ -117,6 +134,14 @@ pub struct ArbiterNode {
     pub(crate) deferred_pass: bool,
     /// We held and released the token since the last NEW-ARBITER.
     pub(crate) had_token_recently: bool,
+
+    // --- steady-state self-grant ---
+    /// Consecutive steady self-only seals (see [`SELF_GRANT_WARMUP`] and
+    /// [`SELF_GRANT_ANNOUNCE_EVERY`]).
+    pub(crate) self_streak: u32,
+    /// This node regenerated the token since it last became arbiter; its
+    /// self-only seals take the normal path (monitor detour included).
+    pub(crate) regenerated: bool,
 }
 
 impl ArbiterNode {
@@ -174,6 +199,8 @@ impl ArbiterNode {
             suspended: false,
             deferred_pass: false,
             had_token_recently: false,
+            self_streak: 0,
+            regenerated: false,
         }
     }
 
@@ -340,9 +367,7 @@ impl ArbiterNode {
                 out.push(Action::Note(Note::StaleRequestDiscarded { requester, seq }));
                 return;
             }
-            self.collect
-                .push_back(Entry::with_priority(requester, seq, priority));
-            self.maybe_arm_collection(out);
+            self.collect_remote(Entry::with_priority(requester, seq, priority), out);
         } else if let Some(next) = self.forwarding_to {
             // Request forwarding phase (paper §2.1).
             out.push(Action::Send {
@@ -381,6 +406,14 @@ impl ArbiterNode {
                     .unwrap_or(SeqNum::ZERO)
             }
         }
+    }
+
+    /// Queues another node's request at this arbiter. Someone else is
+    /// waiting, so any self-grant streak starts over.
+    pub(crate) fn collect_remote(&mut self, entry: Entry, out: &mut Outbox) {
+        self.collect.push_back(entry);
+        self.self_streak = 0;
+        self.maybe_arm_collection(out);
     }
 
     /// Arms the collection window if the arbiter holds the token, is not in
@@ -463,6 +496,18 @@ impl ArbiterNode {
             // Nothing to schedule: remain the (idle) arbiter.
             return;
         }
+        let steady = self.is_steady_self_only(&q, acted_as_monitor);
+        if steady {
+            self.self_streak = self.self_streak.wrapping_add(1);
+            if self.self_streak > SELF_GRANT_WARMUP
+                && !self.self_streak.is_multiple_of(SELF_GRANT_ANNOUNCE_EVERY)
+            {
+                self.self_grant(q, out);
+                return;
+            }
+        } else {
+            self.self_streak = 0;
+        }
 
         let head = q.head().expect("sealed list is non-empty");
         let new_arbiter = q.tail().expect("sealed list is non-empty");
@@ -477,8 +522,10 @@ impl ArbiterNode {
         self.observe_q_len(q_len);
 
         // Starvation-free: route the token through the monitor when the
-        // NEW-ARBITER counter reaches the period (paper §4.1).
-        if self.should_route_via_monitor() {
+        // NEW-ARBITER counter reaches the period (paper §4.1). A steady
+        // self-only seal skips the detour: it would carry the token there
+        // and back to schedule the one node that already holds it.
+        if !steady && self.should_route_via_monitor() {
             self.route_via_monitor(round, out);
             return;
         }
@@ -548,6 +595,30 @@ impl ArbiterNode {
                 }
             }
         }
+    }
+
+    /// A seal is *steady self-only* when it schedules only this node's own
+    /// request, outside any recovery, monitor visit, or post-regeneration
+    /// stretch (DESIGN §3.1). Such seals skip the monitor detour, and past
+    /// the warm-up they grant silently.
+    fn is_steady_self_only(&self, q: &QList, acted_as_monitor: bool) -> bool {
+        q.len() == 1
+            && q.head() == Some(self.id)
+            && self.want_cs
+            && !self.suspended
+            && self.recovery_state == RecoveryState::Idle
+            && !acted_as_monitor
+            && !self.regenerated
+    }
+
+    /// Silent self-grant: the token stays, and its holder alone is
+    /// scheduled, so the CS starts at once with no NEW-ARBITER and the
+    /// round unchanged. The paper's §3.1 optimisation drops the broadcast
+    /// to a sole scheduled node; here that node is the arbiter itself.
+    fn self_grant(&mut self, q: QList, out: &mut Outbox) {
+        self.token.as_mut().expect("seal requires token").q = q;
+        out.push(Action::Note(Note::SelfGrant));
+        self.enter_cs(out);
     }
 
     pub(crate) fn begin_forwarding(&mut self, target: NodeId, out: &mut Outbox) {
@@ -708,6 +779,8 @@ impl ArbiterNode {
 
     pub(crate) fn become_arbiter(&mut self, out: &mut Outbox) {
         self.is_arbiter = true;
+        self.self_streak = 0;
+        self.regenerated = false;
         self.collect = QList::new();
         if self.want_cs && !self.waiting_confirmed && !self.in_cs {
             // Fold our not-yet-scheduled request into our own queue.
@@ -734,6 +807,19 @@ impl ArbiterNode {
             }
             out.push(Action::Note(Note::StaleTokenDiscarded));
             self.token = None;
+        }
+        // The token came back through contention, not through our own
+        // detour: another node was granted since we last held it.
+        let me = self.id.index();
+        if self.self_streak > 0
+            && tok
+                .last_granted
+                .iter()
+                .zip(&self.lg_cache)
+                .enumerate()
+                .any(|(i, (granted, cached))| i != me && granted > cached)
+        {
+            self.self_streak = 0;
         }
         self.epoch = tok.epoch;
         self.lg_cache.clone_from(&tok.last_granted);
@@ -913,6 +999,8 @@ impl ArbiterNode {
         self.had_token_recently = false;
         self.watching = None;
         self.enquiring_arbiter = None;
+        self.self_streak = 0;
+        self.regenerated = false;
     }
 
     fn on_recover(&mut self) {
@@ -1014,5 +1102,256 @@ impl Protocol for ArbiterNode {
 
     fn fingerprint(&self, mut h: &mut dyn std::hash::Hasher) {
         std::hash::Hash::hash(self, &mut h);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::api::ProtocolFactory;
+
+    const N: usize = 3;
+    /// The hot arbiter; node 0 is the monitor, node 2 another requester.
+    const HOT: NodeId = NodeId(1);
+
+    fn hot_arbiter() -> ArbiterNode {
+        let cfg = ArbiterConfig {
+            initial_arbiter: HOT,
+            ..ArbiterConfig::fault_tolerant()
+        };
+        let mut node = cfg.build(HOT, N);
+        node.step(Input::Start);
+        node
+    }
+
+    /// The round of the NEW-ARBITER broadcast among `acts`, if any.
+    fn announced_round(acts: &Outbox) -> Option<u64> {
+        acts.iter().find_map(|a| match a {
+            Action::Broadcast {
+                msg: ArbiterMsg::NewArbiter { round, .. },
+                ..
+            } => Some(*round),
+            _ => None,
+        })
+    }
+
+    fn transmits(acts: &Outbox) -> bool {
+        acts.iter().any(Action::is_transmission)
+    }
+
+    /// Requests the CS and closes the collection window; returns the
+    /// seal's actions with the node still inside its CS.
+    fn seal_own_request(node: &mut ArbiterNode) -> Outbox {
+        node.step(Input::RequestCs);
+        let acts = node.step(Input::Timer(ArbiterTimer::CollectionEnd));
+        assert!(node.in_cs(), "a self-only seal enters the CS: {acts:?}");
+        acts
+    }
+
+    /// One closed-loop cycle at the arbiter; returns the seal's actions.
+    fn cycle(node: &mut ArbiterNode) -> Outbox {
+        let acts = seal_own_request(node);
+        assert!(!transmits(&node.step(Input::CsDone)));
+        acts
+    }
+
+    /// Runs the warm-up and asserts the next seal is silent.
+    fn silent_arbiter() -> ArbiterNode {
+        let mut node = hot_arbiter();
+        for _ in 0..SELF_GRANT_WARMUP {
+            assert!(announced_round(&cycle(&mut node)).is_some());
+        }
+        assert!(!transmits(&cycle(&mut node)));
+        node
+    }
+
+    fn round(node: &ArbiterNode) -> u64 {
+        node.token.as_ref().expect("holds the token").round
+    }
+
+    #[test]
+    fn silent_grant_enters_the_cs_with_no_message() {
+        let mut node = silent_arbiter();
+        let before = round(&node);
+        let acts = seal_own_request(&mut node);
+        assert!(acts.contains(&Action::EnterCs));
+        assert!(acts.contains(&Action::Note(Note::SelfGrant)));
+        assert!(!transmits(&acts), "silent grant sent: {acts:?}");
+        assert!(!acts.contains(&Action::Note(Note::MonitorVisit)));
+        assert_eq!(round(&node), before, "a silent grant keeps the round");
+        assert!(node.holds_token() && node.is_arbiter());
+    }
+
+    #[test]
+    fn warm_up_and_every_256th_seal_announce_with_a_fresh_round() {
+        let mut node = hot_arbiter();
+        let mut announced = Vec::new();
+        for i in 1..=2 * SELF_GRANT_ANNOUNCE_EVERY + 10 {
+            let acts = cycle(&mut node);
+            assert!(
+                !acts.iter().any(|a| matches!(a, Action::Send { .. })),
+                "seal {i} left the node: {acts:?}"
+            );
+            if let Some(round) = announced_round(&acts) {
+                announced.push((i, round));
+            }
+        }
+        assert_eq!(
+            announced,
+            [
+                (1, 1),
+                (2, 2),
+                (SELF_GRANT_ANNOUNCE_EVERY, 3),
+                (2 * SELF_GRANT_ANNOUNCE_EVERY, 4)
+            ]
+        );
+    }
+
+    #[test]
+    fn remote_request_ends_the_streak() {
+        let mut node = silent_arbiter();
+        seal_own_request(&mut node);
+        let req = ArbiterMsg::Request {
+            requester: NodeId(2),
+            seq: SeqNum(1),
+            priority: Priority::default(),
+            hops: 0,
+        };
+        node.step(Input::Deliver {
+            from: NodeId(2),
+            msg: req,
+        });
+        assert_eq!(node.self_streak, 0);
+        node.step(Input::CsDone);
+        // The seal schedules node 2 ahead of us: the token leaves (here
+        // through the monitor, whose period has come round).
+        node.step(Input::RequestCs);
+        let acts = node.step(Input::Timer(ArbiterTimer::CollectionEnd));
+        let Some(mut tok) = acts.iter().find_map(|a| match a {
+            Action::Send {
+                msg: ArbiterMsg::Privilege(tok),
+                ..
+            } => Some(tok.clone()),
+            _ => None,
+        }) else {
+            panic!("the token stayed: {acts:?}");
+        };
+        assert_eq!(tok.q.nodes().collect::<Vec<_>>(), [NodeId(2), HOT]);
+        // Node 2 runs its CS and passes the token on to us, the tail.
+        tok.via_monitor = false;
+        tok.record_grant(NodeId(2), SeqNum(1));
+        tok.q.remove(NodeId(2));
+        node.step(Input::Deliver {
+            from: NodeId(2),
+            msg: ArbiterMsg::Privilege(tok),
+        });
+        assert!(node.in_cs() && node.is_arbiter());
+        node.step(Input::CsDone);
+        assert_next_self_only_seals_warm_up(&mut node);
+    }
+
+    /// The next self-only seals take the normal path: the warm-up seals
+    /// broadcast, then the streak goes silent again.
+    fn assert_next_self_only_seals_warm_up(node: &mut ArbiterNode) {
+        for _ in 0..SELF_GRANT_WARMUP {
+            let acts = cycle(node);
+            assert!(announced_round(&acts).is_some(), "no announce: {acts:?}");
+        }
+        assert!(!transmits(&cycle(node)));
+    }
+
+    #[test]
+    fn token_returning_with_another_grant_ends_the_streak() {
+        let mut node = silent_arbiter();
+        // A stronger token lineage (a concurrent recovery's) reaches the
+        // idle arbiter; its L array shows node 2 was served meanwhile.
+        let mut tok = Token::initial(N);
+        tok.epoch = 1;
+        tok.record_grant(NodeId(2), SeqNum(4));
+        tok.record_grant(HOT, node.my_seq);
+        let acts = node.step(Input::Deliver {
+            from: NodeId(2),
+            msg: ArbiterMsg::Privilege(tok),
+        });
+        assert!(acts.contains(&Action::Note(Note::StaleTokenDiscarded)));
+        assert_eq!(node.self_streak, 0);
+        assert_next_self_only_seals_warm_up(&mut node);
+    }
+
+    #[test]
+    fn token_returning_without_other_grants_keeps_the_streak() {
+        let mut node = silent_arbiter();
+        let streak = node.self_streak;
+        let mut tok = node.token.clone().expect("holds the token");
+        tok.epoch = 1;
+        node.step(Input::Deliver {
+            from: NodeId(0),
+            msg: ArbiterMsg::Privilege(tok),
+        });
+        assert_eq!(node.self_streak, streak);
+        assert!(!transmits(&cycle(&mut node)));
+    }
+
+    #[test]
+    fn regeneration_restores_the_monitor_detour_until_the_role_moves() {
+        let mut node = silent_arbiter();
+        // The token is declared lost under us and regenerated here.
+        node.step(Input::Deliver {
+            from: NodeId(0),
+            msg: ArbiterMsg::Invalidate { epoch: 1 },
+        });
+        assert!(!node.holds_token());
+        node.step(Input::Timer(ArbiterTimer::ArbiterWait));
+        node.step(Input::Timer(ArbiterTimer::EnquiryTimeout));
+        let acts = node.step(Input::Timer(ArbiterTimer::EnquiryTimeout));
+        assert!(acts.contains(&Action::Note(Note::TokenRegenerated)));
+        assert!(node.regenerated && node.self_streak == 0);
+
+        // The post-regeneration self-only seal routes via the monitor.
+        node.step(Input::RequestCs);
+        let acts = node.step(Input::Timer(ArbiterTimer::CollectionEnd));
+        let Some(mut tok) = acts.iter().find_map(|a| match a {
+            Action::Send {
+                to: NodeId(0),
+                msg: ArbiterMsg::Privilege(tok),
+            } => Some(tok.clone()),
+            _ => None,
+        }) else {
+            panic!("no monitor detour after regeneration: {acts:?}");
+        };
+        assert!(tok.via_monitor && !node.in_cs());
+
+        // The monitor hands the token back; the node becomes arbiter again.
+        tok.via_monitor = false;
+        tok.round += 1;
+        node.step(Input::Deliver {
+            from: NodeId(0),
+            msg: ArbiterMsg::Privilege(tok),
+        });
+        assert!(node.in_cs() && node.is_arbiter() && !node.regenerated);
+        node.step(Input::CsDone);
+        assert_next_self_only_seals_warm_up(&mut node);
+    }
+
+    #[test]
+    fn crash_ends_the_streak() {
+        let mut node = silent_arbiter();
+        node.step(Input::Crash);
+        node.step(Input::Recover);
+        assert_eq!(node.self_streak, 0);
+        assert!(!node.is_arbiter() && !node.holds_token());
+        // Rejoined, it is handed a parked token and becomes arbiter.
+        let mut tok = node.lg_cache.clone();
+        tok[HOT.index()] = node.my_seq;
+        node.step(Input::Deliver {
+            from: NodeId(0),
+            msg: ArbiterMsg::Privilege(Token {
+                last_granted: tok,
+                round: 10,
+                ..Token::initial(N)
+            }),
+        });
+        assert!(node.is_arbiter() && node.holds_token());
+        assert_next_self_only_seals_warm_up(&mut node);
     }
 }

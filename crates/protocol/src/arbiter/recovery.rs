@@ -365,6 +365,10 @@ impl ArbiterNode {
         if !self.is_arbiter {
             self.become_arbiter(out);
         }
+        // A slow copy of the old token may still be in flight: until the
+        // role next changes hands, self-only seals take the normal path.
+        self.self_streak = 0;
+        self.regenerated = true;
         self.maybe_arm_collection(out);
     }
 

@@ -144,6 +144,10 @@ pub enum Note {
         /// Number of scheduled requests in the sealed list.
         len: u32,
     },
+    /// An arbiter holding the token sealed a Q-list naming only itself and
+    /// entered its critical section with no message: no NEW-ARBITER, the
+    /// round unchanged (the steady-state self-grant).
+    SelfGrant,
     /// A node received the token without a pending request (a spurious grant
     /// caused by duplicate scheduling) and passed it straight on.
     SpuriousGrant,
@@ -184,6 +188,7 @@ impl Note {
             Note::ForwardingClosed => "forwarding_closed",
             Note::BecameArbiter => "became_arbiter",
             Note::QListSealed { .. } => "qlist_sealed",
+            Note::SelfGrant => "self_grant",
             Note::SpuriousGrant => "spurious_grant",
             Note::TokenWarning => "token_warning",
             Note::InvalidationStarted => "invalidation_started",
@@ -249,6 +254,7 @@ mod tests {
             Note::ForwardingClosed,
             Note::BecameArbiter,
             Note::QListSealed { len: 1 },
+            Note::SelfGrant,
             Note::SpuriousGrant,
             Note::TokenWarning,
             Note::InvalidationStarted,

@@ -46,6 +46,9 @@ cargo run --release --quiet -p tokq-bench --bin tcp_pipeline -- --rounds 3
 echo "==> perfbench smoke: 2-s contended TCP run with its correctness checks"
 python3 perfbench/run.py --workload tcp_contended --seed 1 --seconds 2 --trace 0 >/dev/null
 
+echo "==> perfbench smoke: 2-s uncontended TCP run with its REQUEST-share shape check"
+python3 perfbench/run.py --workload tcp_uncontended --seed 1 --seconds 2 --trace 0 >/dev/null
+
 echo "==> perfbench smoke: 2-s simulated token-loss run with its determinism checks"
 python3 perfbench/run.py --workload sim_token_loss --seed 1 --seconds 2 --trace 0 >/dev/null
 
