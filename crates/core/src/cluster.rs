@@ -8,10 +8,11 @@
 //! single-lock API ([`Cluster::handle`]) remains as a thin shim over
 //! shard 0.
 
+use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, unbounded, RecvTimeoutError, Sender};
+use crossbeam::channel::{bounded, unbounded, RecvTimeoutError};
 use tokq_obs::sink::JsonlWriter;
 use tokq_obs::{FlightRecorder, Level, Obs, Source};
 use tokq_protocol::api::ProtocolFactory;
@@ -19,10 +20,11 @@ use tokq_protocol::arbiter::ArbiterConfig;
 use tokq_protocol::types::NodeId;
 
 use crate::fault::FaultPanel;
+use crate::inbox::{inbox, InboxTx};
 use crate::metrics::ClusterMetrics;
 use crate::node::{GrantReply, NodeEvent, NodeLoop};
 use crate::service::{FaultError, LockError, ResourceId, ShardId};
-use crate::tcp::{BackoffPolicy, TcpReceiver, TcpSender};
+use crate::tcp::{BackoffPolicy, TcpSender};
 use crate::transport::{ChannelTransport, Envelope, NetOptions, Wire};
 
 /// How long [`ResourceHandle::try_lock`] waits for the local fast path.
@@ -143,22 +145,21 @@ impl ClusterBuilder {
         let mut node_txs = Vec::with_capacity(self.n);
         let mut node_rxs = Vec::with_capacity(self.n);
         for _ in 0..self.n {
-            let (tx, rx) = unbounded::<NodeEvent>();
+            let (tx, rx) = inbox().expect("create node inbox eventfd");
             node_txs.push(tx);
             node_rxs.push(rx);
         }
 
         let mut pump_threads = Vec::new();
-        let mut tcp_receivers = Vec::new();
+        let mut listeners = Vec::new();
         let transport: Arc<dyn Wire> = if self.tcp {
-            // One loopback listener per node, ephemeral ports.
+            // One loopback listener per node, ephemeral ports. Each node
+            // loop accepts and reads its own connections.
             let mut addrs = Vec::with_capacity(self.n);
-            for tx in &node_txs {
-                let recv =
-                    TcpReceiver::bind("127.0.0.1:0".parse().expect("loopback addr"), tx.clone())
-                        .expect("bind loopback listener");
-                addrs.push(recv.local_addr());
-                tcp_receivers.push(recv);
+            for _ in 0..self.n {
+                let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback listener");
+                addrs.push(listener.local_addr().expect("bound listener address"));
+                listeners.push(listener);
             }
             Arc::new(TcpSender::with_panel(
                 addrs,
@@ -200,14 +201,21 @@ impl ClusterBuilder {
             ))
         };
 
+        let mut listeners = listeners.into_iter();
         let mut threads = Vec::with_capacity(self.n);
         for (i, rx) in node_rxs.into_iter().enumerate() {
             let id = NodeId::from_index(i);
             let protocols = (0..self.shards)
                 .map(|s| self.config.build_shard(id, self.n, s))
                 .collect();
-            let node_loop =
-                NodeLoop::new(protocols, rx, Arc::clone(&transport), Arc::clone(&metrics));
+            let node_loop = NodeLoop::new(
+                protocols,
+                rx,
+                listeners.next(),
+                Arc::clone(&transport),
+                Arc::clone(&metrics),
+            )
+            .expect("set up the node's epoll instance");
             let h = std::thread::Builder::new()
                 .name(format!("tokq-node-{i}"))
                 .spawn(move || node_loop.run())
@@ -220,7 +228,7 @@ impl ClusterBuilder {
             node_txs,
             threads,
             pump_threads,
-            tcp_receivers,
+            tcp: self.tcp,
             transport: Some(transport),
             fault_panel,
             metrics,
@@ -239,10 +247,12 @@ impl ClusterBuilder {
 pub struct Cluster {
     n: usize,
     shards: u16,
-    node_txs: Vec<Sender<NodeEvent>>,
+    /// Each node's inbox. Kept after shutdown: a node loop closes its
+    /// inbox on exit, so later posts fail with `ShuttingDown`.
+    node_txs: Vec<InboxTx>,
     threads: Vec<std::thread::JoinHandle<()>>,
     pump_threads: Vec<std::thread::JoinHandle<()>>,
-    tcp_receivers: Vec<TcpReceiver>,
+    tcp: bool,
     transport: Option<Arc<dyn Wire>>,
     fault_panel: FaultPanel,
     metrics: Arc<ClusterMetrics>,
@@ -253,7 +263,7 @@ impl std::fmt::Debug for Cluster {
         f.debug_struct("Cluster")
             .field("nodes", &self.n)
             .field("shards", &self.shards)
-            .field("tcp", &!self.tcp_receivers.is_empty())
+            .field("tcp", &self.tcp)
             .finish_non_exhaustive()
     }
 }
@@ -323,19 +333,7 @@ impl Cluster {
             resource,
             shard,
             node: NodeId::from_index(node),
-            tx: self.node_tx(node),
-        }
-    }
-
-    /// The inbox sender for `node`, or a dead sender (every send fails →
-    /// `ShuttingDown`) once the cluster has shut down.
-    fn node_tx(&self, node: usize) -> Sender<NodeEvent> {
-        match self.node_txs.get(node) {
-            Some(tx) => tx.clone(),
-            None => {
-                let (tx, _) = unbounded();
-                tx
-            }
+            tx: self.node_txs[node].clone(),
         }
     }
 
@@ -358,7 +356,7 @@ impl Cluster {
                 resource: ResourceId::new("__mutex"),
                 shard: ShardId(0),
                 node: NodeId::from_index(node),
-                tx: self.node_tx(node),
+                tx: self.node_txs[node].clone(),
             },
         })
     }
@@ -391,8 +389,9 @@ impl Cluster {
                 nodes: self.n,
             });
         }
-        let tx = self.node_txs.get(node).ok_or(FaultError::ShuttingDown)?;
-        tx.send(ev).map_err(|_| FaultError::ShuttingDown)
+        self.node_txs[node]
+            .send(ev)
+            .map_err(|_| FaultError::ShuttingDown)
     }
 
     /// The cluster's shared fault surface: per-link blocks, partitions,
@@ -465,19 +464,17 @@ impl Cluster {
         for tx in &self.node_txs {
             let _ = tx.send(NodeEvent::Shutdown);
         }
+        // Each loop exits on its Shutdown, closing its inbox, listener
+        // and accepted connections.
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
-        self.node_txs.clear();
         // The node threads dropped their transport clones on exit; drop
         // ours too so the envelope senders close and the pump threads can
         // observe a disconnected channel and terminate.
         self.transport = None;
         for t in self.pump_threads.drain(..) {
             let _ = t.join();
-        }
-        for mut r in self.tcp_receivers.drain(..) {
-            r.shutdown();
         }
     }
 }
@@ -498,7 +495,7 @@ pub struct ResourceHandle {
     resource: ResourceId,
     shard: ShardId,
     node: NodeId,
-    tx: Sender<NodeEvent>,
+    tx: InboxTx,
 }
 
 impl ResourceHandle {
@@ -631,7 +628,7 @@ impl MutexHandle {
 #[derive(Debug)]
 #[must_use = "dropping the guard immediately releases the lock"]
 pub struct LockGuard {
-    tx: Sender<NodeEvent>,
+    tx: InboxTx,
     shard: ShardId,
     gen: u64,
 }

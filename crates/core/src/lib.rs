@@ -50,6 +50,7 @@
 pub mod chaos;
 pub mod cluster;
 pub mod fault;
+mod inbox;
 pub mod metrics;
 mod node;
 pub mod service;

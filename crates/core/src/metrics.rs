@@ -141,14 +141,23 @@ impl ClusterMetrics {
         &self.obs
     }
 
-    pub(crate) fn message(&self, shard: ShardId, kind: &'static str) {
+    /// Counts one transmitted message on `shard`, whose kind counter
+    /// (from [`ClusterMetrics::kind_counter`]) the sending node resolved
+    /// once.
+    pub(crate) fn message(&self, shard: ShardId, kind: &Counter) {
         self.messages_total.inc();
-        self.obs.registry().counter_with(MSG_SENT, kind).inc();
+        kind.inc();
         self.shard_msgs.inc(shard);
     }
 
-    pub(crate) fn note(&self, label: &'static str) {
-        self.obs.registry().counter_with(NOTE, label).inc();
+    /// The `msg_sent/<kind>` counter, registering it on first use.
+    pub(crate) fn kind_counter(&self, kind: &'static str) -> Counter {
+        self.obs.registry().counter_with(MSG_SENT, kind)
+    }
+
+    /// The `note/<label>` counter, registering it on first use.
+    pub(crate) fn note_counter(&self, label: &'static str) -> Counter {
+        self.obs.registry().counter_with(NOTE, label)
     }
 
     pub(crate) fn cs_completed(&self, shard: ShardId) {
@@ -294,10 +303,11 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let m = ClusterMetrics::new();
-        m.message(ShardId(0), "REQUEST");
-        m.message(ShardId(0), "REQUEST");
-        m.message(ShardId(1), "PRIVILEGE");
-        m.note("qlist_sealed");
+        let request = m.kind_counter("REQUEST");
+        m.message(ShardId(0), &request);
+        m.message(ShardId(0), &request);
+        m.message(ShardId(1), &m.kind_counter("PRIVILEGE"));
+        m.note_counter("qlist_sealed").inc();
         m.cs_completed(ShardId(1));
         assert_eq!(m.messages_total(), 3);
         assert_eq!(m.cs_completed_total(), 1);
@@ -343,7 +353,7 @@ mod tests {
     fn registry_view_matches_snapshot_api() {
         let obs = Obs::disabled(Source::Runtime);
         let m = ClusterMetrics::with_obs(obs);
-        m.message(ShardId(0), "REQUEST");
+        m.message(ShardId(0), &m.kind_counter("REQUEST"));
         let snap = m.obs().registry().snapshot();
         assert_eq!(snap.counters["messages_total"], 1);
         assert_eq!(snap.counters["msg_sent/REQUEST"], 1);

@@ -2,25 +2,35 @@
 //! shard* with real messages, real timers, and application lock requests.
 //!
 //! A node owns `K` independent protocol instances (shards) but a single
-//! inbox, a single thread, and a single transport. Incoming events are
-//! drained in batches and bucketed by shard before dispatch, so a burst of
-//! traffic on one shard is amortized into one pass instead of `K`
-//! interleaved context switches; control events (crash/recover/shutdown)
-//! act as batch barriers because they affect every shard at once.
+//! inbox, a single thread, and a single transport. The thread waits in
+//! exactly one place: its [`Poller`], until the earliest pending timer
+//! deadline. The poller watches the inbox's bell (an edge-triggered
+//! eventfd that posts ring only while the loop is parked) and, on the TCP
+//! transport, the node's own listener and every connection it accepted.
+//! Frames read in a wakeup and the inbox events taken with them are
+//! bucketed by shard and dispatched in one pass, so a burst of traffic on
+//! one shard is amortized into one pass instead of `K` interleaved
+//! context switches; control events (crash/recover/shutdown) act as batch
+//! barriers because they affect every shard at once.
 
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::VecDeque;
+use std::net::TcpListener;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
+use bytes::Bytes;
+use crossbeam::channel::Sender;
 use tokq_obs::{span, Counter, Event, Histogram, Level, Obs, SpanGuard};
 use tokq_protocol::api::Protocol;
 use tokq_protocol::arbiter::{ArbiterMsg, ArbiterNode, ArbiterTimer};
 use tokq_protocol::event::{Action, Input, Note};
 use tokq_protocol::types::NodeId;
+use tokq_sys::{Events, Interest, Poller};
 
+use crate::inbox::InboxRx;
 use crate::metrics::ClusterMetrics;
 use crate::service::{LockError, ShardId};
+use crate::tcp::Inbound;
 use crate::transport::{Envelope, Wire};
 use crate::wire;
 
@@ -34,6 +44,17 @@ const T_NET: &str = "net";
 /// How many inbox events one drain pass may swallow before dispatching.
 const BATCH: usize = 128;
 
+/// Poller token of the inbox bell; [`Inbound`] owns every token above it.
+const BELL: u64 = 0;
+
+/// Ready descriptors taken per poller wait; more stay ready for the next.
+const POLL_EVENTS: usize = 64;
+
+/// Passes in a row that may find inbox work, and so skip the poller,
+/// before one looks at the sockets anyway: a busy inbox cannot starve
+/// the network.
+const POLL_EVERY: u32 = 8;
+
 /// What an [`NodeEvent::Acquire`] waiter eventually hears back: the CS
 /// generation of its grant, or a typed refusal.
 pub(crate) type GrantReply = Result<u64, LockError>;
@@ -43,7 +64,7 @@ pub(crate) type GrantReply = Result<u64, LockError>;
 pub(crate) enum NodeEvent {
     /// An encoded protocol frame arrived. The owning shard rides inside
     /// the frame header and is recovered at decode time.
-    Wire { from: NodeId, frame: bytes::Bytes },
+    Wire { from: NodeId, frame: Bytes },
     /// An application thread wants the lock on `shard`; the sender
     /// receives the grant's CS generation when the critical section is
     /// granted, or a [`LockError`] if it never can be.
@@ -87,31 +108,83 @@ enum ShardWork {
     Release { gen: u64 },
 }
 
-struct PendingTimer {
-    due: Instant,
-    gen: u64,
-    shard: ShardId,
-    timer: ArbiterTimer,
+/// Number of [`ArbiterTimer`] kinds.
+const TIMER_KINDS: usize = 8;
+
+/// Every [`ArbiterTimer`], indexed by [`timer_slot`].
+const TIMERS: [ArbiterTimer; TIMER_KINDS] = [
+    ArbiterTimer::CollectionEnd,
+    ArbiterTimer::ForwardEnd,
+    ArbiterTimer::TokenWait,
+    ArbiterTimer::ArbiterWait,
+    ArbiterTimer::EnquiryTimeout,
+    ArbiterTimer::HandoverWatch,
+    ArbiterTimer::ProbeTimeout,
+    ArbiterTimer::RequestRetry,
+];
+
+/// Dense index of `timer`'s kind into [`TIMERS`].
+fn timer_slot(timer: ArbiterTimer) -> usize {
+    match timer {
+        ArbiterTimer::CollectionEnd => 0,
+        ArbiterTimer::ForwardEnd => 1,
+        ArbiterTimer::TokenWait => 2,
+        ArbiterTimer::ArbiterWait => 3,
+        ArbiterTimer::EnquiryTimeout => 4,
+        ArbiterTimer::HandoverWatch => 5,
+        ArbiterTimer::ProbeTimeout => 6,
+        ArbiterTimer::RequestRetry => 7,
+    }
 }
 
-impl PartialEq for PendingTimer {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.gen == other.gen && self.shard == other.shard
-    }
+/// Pending protocol timers: at most one deadline per (shard, timer kind).
+/// Setting a timer replaces its deadline and cancelling clears it, so a
+/// re-armed timer fires once, at its last arming, and the table never
+/// grows past `shards × TIMER_KINDS` entries.
+struct TimerTable {
+    due: Vec<Option<Instant>>,
 }
-impl Eq for PendingTimer {}
-impl PartialOrd for PendingTimer {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+
+impl TimerTable {
+    fn new(shards: usize) -> Self {
+        TimerTable {
+            due: vec![None; shards * TIMER_KINDS],
+        }
     }
-}
-impl Ord for PendingTimer {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .due
-            .cmp(&self.due)
-            .then_with(|| other.gen.cmp(&self.gen))
-            .then_with(|| other.shard.cmp(&self.shard))
+
+    fn slot(shard: ShardId, timer: ArbiterTimer) -> usize {
+        shard.index() * TIMER_KINDS + timer_slot(timer)
+    }
+
+    fn set(&mut self, shard: ShardId, timer: ArbiterTimer, due: Instant) {
+        self.due[Self::slot(shard, timer)] = Some(due);
+    }
+
+    fn cancel(&mut self, shard: ShardId, timer: ArbiterTimer) {
+        self.due[Self::slot(shard, timer)] = None;
+    }
+
+    fn clear(&mut self) {
+        self.due.fill(None);
+    }
+
+    /// The slot and deadline of the earliest pending timer (the lowest
+    /// slot among equal deadlines).
+    fn earliest(&self) -> Option<(usize, Instant)> {
+        self.due
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, due)| due.map(|due| (slot, due)))
+            .min_by_key(|&(_, due)| due)
+    }
+
+    /// Clears `slot` and names the timer it held.
+    fn take(&mut self, slot: usize) -> (ShardId, ArbiterTimer) {
+        self.due[slot] = None;
+        (
+            ShardId((slot / TIMER_KINDS) as u16),
+            TIMERS[slot % TIMER_KINDS],
+        )
     }
 }
 
@@ -171,16 +244,24 @@ fn kind_slot(msg: &ArbiterMsg) -> usize {
     }
 }
 
-/// Registry handles recorded into on every frame or grant, looked up
-/// once per node rather than once per use (each lookup read-locks the
-/// registry and probes a hashed map).
+/// Registry handles recorded into on every frame, grant or note, looked
+/// up once per node rather than once per use (each lookup read-locks the
+/// registry, probes a hashed map and clones an `Arc`). Labelled handles
+/// are registered on first use, so the registry lists only the kinds and
+/// notes this node actually saw.
 struct HotObs {
     wire_bytes_in: Counter,
     wire_bytes_out: Counter,
     cs_grant: Histogram,
-    /// `handle_ns/<kind>` by [`kind_slot`], registered on first use so
-    /// the registry lists only the kinds this node actually handled.
+    /// `handle_ns/<kind>` by [`kind_slot`].
     handle_ns: [Option<Histogram>; MSG_KINDS],
+    /// `msg_sent/<kind>` by [`kind_slot`].
+    msg_sent: [Option<Counter>; MSG_KINDS],
+    /// `note/<label>` in first-seen order. Labels are `&'static str`
+    /// literals, so one is almost always found by address among a
+    /// handful; the same text at another address falls back to
+    /// comparing text.
+    notes: Vec<(&'static str, Counter)>,
 }
 
 impl HotObs {
@@ -190,27 +271,52 @@ impl HotObs {
             wire_bytes_out: obs.registry().counter("wire_bytes_out"),
             cs_grant: obs.registry().histogram_with("span_ns", "cs_grant"),
             handle_ns: Default::default(),
+            msg_sent: Default::default(),
+            notes: Vec::new(),
         }
+    }
+
+    /// Counts one `label` note.
+    fn note(&mut self, metrics: &ClusterMetrics, label: &'static str) {
+        let found = self
+            .notes
+            .iter()
+            .position(|&(l, _)| std::ptr::eq(l, label))
+            .or_else(|| self.notes.iter().position(|&(l, _)| l == label));
+        let idx = found.unwrap_or_else(|| {
+            self.notes.push((label, metrics.note_counter(label)));
+            self.notes.len() - 1
+        });
+        self.notes[idx].1.inc();
     }
 }
 
 pub(crate) struct NodeLoop {
     id: NodeId,
     shards: Vec<ShardState>,
-    rx: Receiver<NodeEvent>,
+    inbox: InboxRx,
+    poller: Poller,
+    events: Events,
+    /// The TCP receive side: this node's listener and accepted
+    /// connections. `None` on the channel transport.
+    inbound: Option<Inbound>,
+    /// Frames read in the current wakeup, before staging.
+    frames: Vec<(NodeId, Bytes)>,
     transport: Arc<dyn Wire>,
     metrics: Arc<ClusterMetrics>,
     obs: Obs,
     hot: HotObs,
     n: usize,
 
-    timers: BinaryHeap<PendingTimer>,
-    timer_gen: HashMap<(ShardId, ArbiterTimer), u64>,
+    timers: TimerTable,
 
     alive: bool,
     /// Internally generated events processed before external ones
     /// (e.g. auto-release when a grantee abandoned its request).
     backlog: VecDeque<NodeEvent>,
+    /// Events taken from the inbox and not yet handled: a drain pass
+    /// stops at [`BATCH`] events or a control barrier.
+    incoming: VecDeque<NodeEvent>,
     /// Per-shard staging buffers for one drain pass. Persistent across
     /// passes so the (very hot) one-event-per-wakeup case costs no
     /// allocation once the deques have warmed up.
@@ -218,39 +324,57 @@ pub(crate) struct NodeLoop {
 }
 
 impl NodeLoop {
+    /// A loop for one node's `shards`, fed by `inbox` and, on the TCP
+    /// transport, by the connections `listener` accepts.
+    ///
+    /// # Errors
+    ///
+    /// Creating the epoll instance or registering the inbox bell or the
+    /// listener with it (the descriptor limit, in practice).
     pub(crate) fn new(
         shards: Vec<ArbiterNode>,
-        rx: Receiver<NodeEvent>,
+        inbox: InboxRx,
+        listener: Option<TcpListener>,
         transport: Arc<dyn Wire>,
         metrics: Arc<ClusterMetrics>,
-    ) -> Self {
+    ) -> std::io::Result<Self> {
         assert!(!shards.is_empty(), "a node runs at least one shard");
         let id = shards[0].id();
         let n = shards[0].num_nodes();
         let k = shards.len();
         let obs = metrics.obs().clone();
         let hot = HotObs::new(&obs);
-        NodeLoop {
+        let poller = Poller::new()?;
+        poller.register(inbox.bell(), BELL, Interest::READABLE.edge())?;
+        let inbound = listener
+            .map(|listener| Inbound::new(listener, &poller))
+            .transpose()?;
+        Ok(NodeLoop {
             id,
             shards: shards.into_iter().map(ShardState::new).collect(),
-            rx,
+            inbox,
+            poller,
+            events: Events::with_capacity(POLL_EVENTS),
+            inbound,
+            frames: Vec::new(),
             transport,
             metrics,
             obs,
             hot,
             n,
-            timers: BinaryHeap::new(),
-            timer_gen: HashMap::new(),
+            timers: TimerTable::new(k),
             alive: true,
             backlog: VecDeque::new(),
+            incoming: VecDeque::new(),
             buckets: (0..k).map(|_| VecDeque::new()).collect(),
-        }
+        })
     }
 
     pub(crate) fn run(mut self) {
         for s in 0..self.shards.len() {
             self.dispatch(ShardId(s as u16), Input::Start);
         }
+        let mut unpolled = 0;
         loop {
             if let Some(ev) = self.backlog.pop_front() {
                 if self.handle(ev) {
@@ -258,48 +382,67 @@ impl NodeLoop {
                 }
                 continue;
             }
-            self.fire_due_timers();
-            let wait = self
-                .timers
-                .peek()
-                .map(|t| t.due.saturating_duration_since(Instant::now()))
-                .unwrap_or(Duration::from_millis(100));
-            match self.rx.recv_timeout(wait) {
-                Ok(ev) => {
-                    if self.drain_from(ev) {
-                        return;
-                    }
+            let next_due = self.fire_due_timers();
+            if self.incoming.is_empty() && self.backlog.is_empty() {
+                if self.inbox.park() {
+                    self.poll(next_due);
+                    self.inbox.unpark();
+                    unpolled = 0;
+                } else if self.inbound.is_some() && unpolled >= POLL_EVERY {
+                    self.poll(Some(Instant::now()));
+                    unpolled = 0;
+                } else {
+                    unpolled += 1;
                 }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => return,
+                self.inbox.take(&mut self.incoming, BATCH);
+            }
+            if self.drain() {
+                return;
             }
         }
     }
 
-    /// Drains up to [`BATCH`] queued events starting from `first` into
-    /// the per-shard staging buckets (preserving each shard's arrival
-    /// order — cross-shard order is immaterial, the instances are
-    /// independent), then dispatches one shard at a time. A control
-    /// event ends the batch (it is a barrier across all shards).
-    /// Returns `true` on shutdown.
-    fn drain_from(&mut self, first: NodeEvent) -> bool {
-        if first.is_control() {
-            return self.handle(first);
+    /// Waits on the poller until `deadline` (`None`: until something is
+    /// ready), then reads every ready connection and stages its frames.
+    fn poll(&mut self, deadline: Option<Instant>) {
+        let resume = self.inbound.as_ref().and_then(Inbound::resume_at);
+        let deadline = deadline.into_iter().chain(resume).min();
+        let timeout = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+        self.poller
+            .wait(&mut self.events, timeout)
+            .expect("waiting on the node's own epoll instance");
+        let Some(inbound) = self.inbound.as_mut() else {
+            return;
+        };
+        inbound.resume(&self.poller);
+        for token in self.events.tokens() {
+            if token != BELL {
+                inbound.ready(&self.poller, token, &mut self.frames);
+            }
         }
-        self.stage(first);
-        let mut drained = 1;
+        let mut frames = std::mem::take(&mut self.frames);
+        for (from, frame) in frames.drain(..) {
+            self.stage(NodeEvent::Wire { from, frame });
+        }
+        self.frames = frames;
+    }
+
+    /// Stages up to [`BATCH`] taken inbox events into the per-shard
+    /// buckets, next to any frames the last poll staged (preserving each
+    /// shard's arrival order — cross-shard order is immaterial, the
+    /// instances are independent), then dispatches one shard at a time.
+    /// A control event ends the batch (it is a barrier across all
+    /// shards). Returns `true` on shutdown.
+    fn drain(&mut self) -> bool {
         let mut barrier = None;
-        while drained < BATCH {
-            match self.rx.try_recv() {
-                Ok(ev) if ev.is_control() => {
+        for _ in 0..BATCH {
+            match self.incoming.pop_front() {
+                Some(ev) if ev.is_control() => {
                     barrier = Some(ev);
                     break;
                 }
-                Ok(ev) => {
-                    self.stage(ev);
-                    drained += 1;
-                }
-                Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
+                Some(ev) => self.stage(ev),
+                None => break,
             }
         }
         for idx in 0..self.buckets.len() {
@@ -348,7 +491,7 @@ impl NodeLoop {
                     Ok((shard, _)) => {
                         // A frame for a shard this cluster does not run:
                         // drop it like a lost message rather than panic.
-                        self.metrics.note("wire_shard_out_of_range");
+                        self.hot.note(&self.metrics, "wire_shard_out_of_range");
                         if self.obs.enabled(T_NET, Level::Debug) {
                             self.obs.emit(
                                 Event::new(T_NET, Level::Debug, "wire_shard_out_of_range")
@@ -361,7 +504,7 @@ impl NodeLoop {
                     }
                     Err(err) => {
                         // A corrupt frame is dropped like a lost message.
-                        self.metrics.note("wire_decode_error");
+                        self.hot.note(&self.metrics, "wire_decode_error");
                         if self.obs.enabled(T_NET, Level::Debug) {
                             self.obs.emit(
                                 Event::new(T_NET, Level::Debug, "wire_decode_error")
@@ -382,7 +525,7 @@ impl NodeLoop {
                 if !self.alive {
                     // New demand on a crashed node fails fast; waiters
                     // enqueued *before* the crash still survive it.
-                    self.metrics.note("acquire_on_crashed_node");
+                    self.hot.note(&self.metrics, "acquire_on_crashed_node");
                     let _ = grant.send(Err(LockError::NodeDown));
                     return None;
                 }
@@ -425,7 +568,7 @@ impl NodeLoop {
                     // A guard from before a crash (or an abandoned grant
                     // from an earlier era): its critical section no longer
                     // exists, so releasing would end somebody else's.
-                    self.metrics.note("stale_release_ignored");
+                    self.hot.note(&self.metrics, "stale_release_ignored");
                     return;
                 }
                 if st.in_cs {
@@ -471,7 +614,6 @@ impl NodeLoop {
                         st.forwarding_span = None;
                     }
                     self.timers.clear();
-                    self.timer_gen.clear();
                     if self.obs.enabled(T_NODE, Level::Info) {
                         self.obs.emit(
                             Event::new(T_NODE, Level::Info, "crashed").node(u64::from(self.id.0)),
@@ -525,22 +667,17 @@ impl NodeLoop {
         }
     }
 
-    fn fire_due_timers(&mut self) {
+    /// Fires every due timer, earliest first, and returns the deadline of
+    /// the next one still pending.
+    fn fire_due_timers(&mut self) -> Option<Instant> {
         loop {
-            let now = Instant::now();
-            let Some(top) = self.timers.peek() else {
-                return;
-            };
-            if top.due > now {
-                return;
+            let (slot, due) = self.timers.earliest()?;
+            if due > Instant::now() {
+                return Some(due);
             }
-            let t = self.timers.pop().expect("peeked");
-            let live = self
-                .timer_gen
-                .get(&(t.shard, t.timer))
-                .is_some_and(|&g| g == t.gen);
-            if live && self.alive {
-                self.dispatch(t.shard, Input::Timer(t.timer));
+            let (shard, timer) = self.timers.take(slot);
+            if self.alive {
+                self.dispatch(shard, Input::Timer(timer));
             }
         }
     }
@@ -563,18 +700,9 @@ impl NodeLoop {
                     }
                 }
                 Action::SetTimer { timer, after } => {
-                    let gen = self.timer_gen.entry((shard, timer)).or_insert(0);
-                    *gen += 1;
-                    self.timers.push(PendingTimer {
-                        due: Instant::now() + after.into(),
-                        gen: *gen,
-                        shard,
-                        timer,
-                    });
+                    self.timers.set(shard, timer, Instant::now() + after.into());
                 }
-                Action::CancelTimer(timer) => {
-                    *self.timer_gen.entry((shard, timer)).or_insert(0) += 1;
-                }
+                Action::CancelTimer(timer) => self.timers.cancel(shard, timer),
                 Action::EnterCs => {
                     let st = &mut self.shards[shard.index()];
                     st.in_cs = true;
@@ -605,7 +733,7 @@ impl NodeLoop {
                     }
                 }
                 Action::Note(note) => {
-                    self.metrics.note(note.label());
+                    self.hot.note(&self.metrics, note.label());
                     if self.obs.enabled(T_ARBITER, Level::Debug) {
                         self.obs.emit(
                             Event::new(T_ARBITER, Level::Debug, note.label())
@@ -642,10 +770,12 @@ impl NodeLoop {
         }
     }
 
-    fn transmit(&self, shard: ShardId, to: NodeId, msg: &ArbiterMsg) {
+    fn transmit(&mut self, shard: ShardId, to: NodeId, msg: &ArbiterMsg) {
         use tokq_protocol::api::ProtocolMessage;
         let kind = msg.kind();
-        self.metrics.message(shard, kind);
+        let sent = self.hot.msg_sent[kind_slot(msg)]
+            .get_or_insert_with(|| self.metrics.kind_counter(kind));
+        self.metrics.message(shard, sent);
         let frame = wire::encode(shard, msg);
         self.hot.wire_bytes_out.add(frame.len() as u64);
         if self.obs.enabled(T_NET, Level::Trace) {
@@ -669,6 +799,7 @@ impl NodeLoop {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
     use tokq_protocol::api::ProtocolMessage;
     use tokq_protocol::arbiter::{Token, TokenStatus};
     use tokq_protocol::qlist::QList;
@@ -715,5 +846,57 @@ mod tests {
             kinds[slot] = msg.kind();
         }
         assert!(kinds.iter().all(|k| !k.is_empty()));
+    }
+
+    #[test]
+    fn timer_slots_and_timers_are_inverse() {
+        for (slot, &timer) in TIMERS.iter().enumerate() {
+            assert_eq!(timer_slot(timer), slot, "{timer:?}");
+        }
+    }
+
+    #[test]
+    fn re_arming_keeps_one_entry_per_timer_and_fires_only_the_last_arming() {
+        const SHARDS: usize = 4;
+        let mut table = TimerTable::new(SHARDS);
+        let base = Instant::now();
+        let at = |us: u64| base + Duration::from_micros(us);
+        // 100k re-arms spread over every (shard, kind), each later than
+        // the one before.
+        for i in 0..100_000u64 {
+            let shard = ShardId((i as usize % SHARDS) as u16);
+            let timer = TIMERS[(i as usize / SHARDS) % TIMER_KINDS];
+            table.set(shard, timer, at(i + 1));
+        }
+        let pending = table.due.iter().flatten().count();
+        assert!(pending <= SHARDS * TIMER_KINDS, "{pending} entries");
+        // Nothing fires at the deadlines of superseded armings...
+        let last_round = 100_000 - (SHARDS * TIMER_KINDS) as u64;
+        assert!(table
+            .earliest()
+            .is_some_and(|(_, due)| due > at(last_round)));
+        // ...and each timer fires exactly once, at its last arming.
+        let mut fired = Vec::new();
+        while let Some((slot, due)) = table.earliest() {
+            fired.push((table.take(slot), due));
+        }
+        assert_eq!(fired.len(), SHARDS * TIMER_KINDS);
+        assert!(fired.windows(2).all(|w| w[0].1 <= w[1].1), "earliest first");
+        assert_eq!(fired.last().map(|f| f.1), Some(at(100_000)));
+    }
+
+    #[test]
+    fn cancel_and_clear_drop_pending_timers() {
+        let mut table = TimerTable::new(2);
+        let due = Instant::now();
+        table.set(ShardId(1), ArbiterTimer::RequestRetry, due);
+        table.set(ShardId(0), ArbiterTimer::TokenWait, due);
+        table.cancel(ShardId(1), ArbiterTimer::RequestRetry);
+        let (slot, _) = table.earliest().expect("one left");
+        assert_eq!(table.take(slot), (ShardId(0), ArbiterTimer::TokenWait));
+        assert!(table.earliest().is_none());
+        table.set(ShardId(1), ArbiterTimer::ProbeTimeout, due);
+        table.clear();
+        assert!(table.earliest().is_none());
     }
 }

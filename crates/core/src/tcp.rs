@@ -53,10 +53,18 @@
 //!
 //! # Receive path
 //!
-//! One reader thread per accepted connection pulls whatever has arrived
-//! into a fixed 4 KiB buffer with one `read` per wakeup and parses every
-//! complete frame out of it; the buffer grows only while a frame larger
-//! than itself is being assembled.
+//! The receive side has no threads. Each node loop owns an `Inbound`: the
+//! node's nonblocking listener and every connection it accepted, all
+//! registered with the loop's [`Poller`], which also watches the node's
+//! inbox bell. When a connection is ready the node thread reads it into
+//! that connection's fixed 4 KiB buffer until a read comes back short or
+//! would block, and parses every complete frame out of it; the buffer
+//! grows only while a frame larger than itself is being assembled. The
+//! frames join the inbox events of the same wakeup in one dispatch batch,
+//! so a frame costs its node one wakeup rather than a reader thread's
+//! wakeup plus a hand-off. A corrupt length closes that connection only;
+//! the peer's writer reconnects. Shutting a node down closes its listener
+//! and connections with it.
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write as _};
@@ -70,9 +78,9 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use tokq_obs::{Counter, Gauge, Histogram, Obs, Source};
 use tokq_protocol::types::NodeId;
+use tokq_sys::{Interest, Poller};
 
 use crate::fault::FaultPanel;
-use crate::node::NodeEvent;
 use crate::transport::{Envelope, Wire};
 
 /// Maximum accepted frame payload (a PRIVILEGE for thousands of nodes is
@@ -87,12 +95,10 @@ const HEADER: usize = 8;
 /// bytes), and a frame larger than this grows it only until consumed.
 const READ_BUF: usize = 4096;
 
-/// How long reader threads wait on a quiet socket before re-checking the
-/// receiver's stop flag; bounds how long `TcpReceiver::shutdown` blocks.
-const READ_TICK: Duration = Duration::from_millis(100);
-
-/// Cap on the accept-error backoff (EMFILE and friends must not spin the
-/// accept thread at 100% CPU, but recovery should still be prompt).
+/// First and largest pause of a listener after accept errors (EMFILE and
+/// friends must not spin the node loop at 100% CPU, but recovery should
+/// still be prompt).
+const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(1);
 const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(100);
 
 /// Upper bound on one blocking socket write; a peer that accepts the
@@ -768,114 +774,145 @@ impl Drop for TcpSender {
     }
 }
 
-/// The receiving half: accepts connections and pumps decoded frames into a
-/// node's event inbox.
-#[derive(Debug)]
-pub struct TcpReceiver {
-    local: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
-    readers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
+/// Poller token of an [`Inbound`]'s listener. Accepted connections take
+/// the tokens above it; the node loop keeps the ones below.
+const LISTENER: u64 = 1;
+
+/// The receiving half of a node's TCP endpoint: its nonblocking listener
+/// and every connection the listener accepted, each with its own
+/// [`FrameReader`]. It has no thread: the node loop's [`Poller`] reports
+/// which of its descriptors are ready and [`Inbound::ready`] serves them.
+pub(crate) struct Inbound {
+    listener: TcpListener,
+    /// Accepted connections by `token - LISTENER - 1`; `None` marks a
+    /// free slot, reused before the table grows.
+    conns: Vec<Option<InboundConn>>,
+    /// Current accept-error backoff; zero while accepting works.
+    accept_delay: Duration,
+    /// While accepting backs off, when the listener is registered again.
+    paused_until: Option<Instant>,
 }
 
-impl TcpReceiver {
-    /// Binds `addr` (use port 0 for an ephemeral port) and starts
-    /// accepting; every received frame becomes a [`NodeEvent::Wire`] on
-    /// `inbox`.
+struct InboundConn {
+    stream: TcpStream,
+    reader: FrameReader,
+}
+
+impl Inbound {
+    /// Makes `listener` nonblocking and registers it with `poller`.
     ///
     /// # Errors
     ///
-    /// Returns any socket-binding error.
-    pub(crate) fn bind(addr: SocketAddr, inbox: Sender<NodeEvent>) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let readers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> =
-            Arc::new(Mutex::new(Vec::new()));
-        let stop2 = Arc::clone(&stop);
-        let readers2 = Arc::clone(&readers);
-        let accept_thread = std::thread::Builder::new()
-            .name("tokq-tcp-accept".into())
-            .spawn(move || accept_loop(listener, inbox, stop2, readers2))?;
-        Ok(TcpReceiver {
-            local,
-            stop,
-            accept_thread: Some(accept_thread),
-            readers,
+    /// Either step's socket or epoll error.
+    pub(crate) fn new(listener: TcpListener, poller: &Poller) -> std::io::Result<Self> {
+        listener.set_nonblocking(true)?;
+        poller.register(&listener, LISTENER, Interest::READABLE)?;
+        Ok(Inbound {
+            listener,
+            conns: Vec::new(),
+            accept_delay: Duration::ZERO,
+            paused_until: None,
         })
     }
 
-    /// The actually-bound address (resolves ephemeral ports).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local
-    }
-
-    /// Stops accepting and joins the accept thread and every reader
-    /// thread. Readers poll the stop flag between socket reads (via a
-    /// read timeout), so the join completes within one tick even while
-    /// peers stay connected.
-    pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Unblock the accept() with a dummy connection.
-        let _ = TcpStream::connect_timeout(&self.local, Duration::from_millis(200));
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
+    /// Serves one ready `token` of this endpoint: accepts every pending
+    /// connection, or reads every frame a connection has ready into
+    /// `frames`. A connection that ended, failed or sent a corrupt length
+    /// is closed, which also ends its registration.
+    pub(crate) fn ready(&mut self, poller: &Poller, token: u64, frames: &mut Vec<(NodeId, Bytes)>) {
+        if token == LISTENER {
+            self.accept_all(poller);
+            return;
         }
-        for t in self.readers.lock().drain(..) {
-            let _ = t.join();
+        let Some(idx) = token
+            .checked_sub(LISTENER + 1)
+            .and_then(|i| usize::try_from(i).ok())
+        else {
+            return;
+        };
+        let Some(Some(conn)) = self.conns.get_mut(idx) else {
+            return;
+        };
+        if !conn.reader.read_available(&mut conn.stream, frames) {
+            self.conns[idx] = None;
         }
     }
-}
 
-impl Drop for TcpReceiver {
-    fn drop(&mut self) {
-        self.shutdown();
+    /// When a paused listener is due back, if accepting is backing off.
+    pub(crate) fn resume_at(&self) -> Option<Instant> {
+        self.paused_until
     }
-}
 
-fn accept_loop(
-    listener: TcpListener,
-    inbox: Sender<NodeEvent>,
-    stop: Arc<AtomicBool>,
-    readers: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
-) {
-    let mut backoff = Duration::from_millis(1);
-    loop {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                backoff = Duration::from_millis(1);
-                if stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                // The timeout lets read_loop notice the stop flag on a
-                // quiet connection, so shutdown() can join it.
-                let _ = stream.set_read_timeout(Some(READ_TICK));
-                let inbox = inbox.clone();
-                let stop = Arc::clone(&stop);
-                if let Ok(handle) = std::thread::Builder::new()
-                    .name("tokq-tcp-read".into())
-                    .spawn(move || read_loop(stream, inbox, stop))
-                {
-                    readers.lock().push(handle);
-                }
-            }
-            Err(_) => {
-                if stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                // Persistent accept errors (EMFILE, ENFILE) must not
-                // busy-spin this thread at 100% CPU.
-                std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
+    /// Registers a paused listener again once its backoff has passed.
+    pub(crate) fn resume(&mut self, poller: &Poller) {
+        if self.paused_until.is_some_and(|at| at <= Instant::now()) {
+            self.paused_until = None;
+            if poller
+                .register(&self.listener, LISTENER, Interest::READABLE)
+                .is_err()
+            {
+                self.pause();
             }
         }
+    }
+
+    fn accept_all(&mut self, poller: &Poller) {
+        loop {
+            match self.listener.accept() {
+                Ok((stream, _peer)) => {
+                    self.accept_delay = Duration::ZERO;
+                    self.add(poller, stream);
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => {
+                    // Persistent accept errors (EMFILE, ENFILE) leave the
+                    // listener readable: take it out of the poller for a
+                    // backoff rather than spin the node loop at 100% CPU.
+                    let _ = poller.deregister(&self.listener);
+                    self.pause();
+                    return;
+                }
+            }
+        }
+    }
+
+    fn pause(&mut self) {
+        self.accept_delay = if self.accept_delay.is_zero() {
+            ACCEPT_BACKOFF_MIN
+        } else {
+            (self.accept_delay * 2).min(ACCEPT_BACKOFF_MAX)
+        };
+        self.paused_until = Some(Instant::now() + self.accept_delay);
+    }
+
+    fn add(&mut self, poller: &Poller, stream: TcpStream) {
+        if stream.set_nonblocking(true).is_err() {
+            return; // dropping the stream closes the connection
+        }
+        let idx = self
+            .conns
+            .iter()
+            .position(Option::is_none)
+            .unwrap_or_else(|| {
+                self.conns.push(None);
+                self.conns.len() - 1
+            });
+        let token = LISTENER + 1 + idx as u64;
+        if poller.register(&stream, token, Interest::READABLE).is_err() {
+            return;
+        }
+        self.conns[idx] = Some(InboundConn {
+            stream,
+            reader: FrameReader::new(),
+        });
     }
 }
 
 /// Incremental parser of the `[len][sender][payload]` stream of one
-/// connection over a fixed [`READ_BUF`]-byte buffer: [`FrameReader::fill`]
-/// reads once, [`FrameReader::next_frame`] then yields every complete
-/// frame the read brought in.
+/// connection over a fixed [`READ_BUF`]-byte buffer:
+/// [`FrameReader::read_available`] reads what the socket holds and yields
+/// every complete frame through [`FrameReader::next_frame`].
 struct FrameReader {
     buf: Vec<u8>,
     /// Start of the unparsed bytes in `buf`.
@@ -909,10 +946,11 @@ impl FrameReader {
         HEADER + len as usize
     }
 
-    /// One `read` from `src` into the buffer. A partial frame left by the
-    /// last read moves to the front first; the buffer grows to hold it if
-    /// it is larger than [`READ_BUF`] and shrinks back afterwards.
-    fn fill(&mut self, src: &mut impl Read) -> std::io::Result<usize> {
+    /// Moves a partial frame left by the last read to the front and
+    /// sizes the buffer for the next read: it grows to hold a frame larger
+    /// than [`READ_BUF`] and shrinks back afterwards. Returns the free
+    /// bytes after the buffered ones.
+    fn make_room(&mut self) -> usize {
         if self.start > 0 {
             self.buf.copy_within(self.start..self.end, 0);
             self.end -= self.start;
@@ -925,9 +963,34 @@ impl FrameReader {
             self.buf.resize(want, 0);
             self.buf.shrink_to(want);
         }
-        let n = src.read(&mut self.buf[self.end..])?;
-        self.end += n;
-        Ok(n)
+        self.buf.len() - self.end
+    }
+
+    /// Reads from `src` until it would block or a read comes back short
+    /// (the socket's receive queue was emptied), appending every complete
+    /// frame to `out`. Returns `false` once the connection must close: end
+    /// of stream, a read error, or a corrupt length.
+    fn read_available(&mut self, src: &mut impl Read, out: &mut Vec<(NodeId, Bytes)>) -> bool {
+        loop {
+            let room = self.make_room();
+            let n = match src.read(&mut self.buf[self.end..]) {
+                Ok(0) => return false,
+                Ok(n) => n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) => return e.kind() == ErrorKind::WouldBlock,
+            };
+            self.end += n;
+            loop {
+                match self.next_frame() {
+                    Ok(Some(frame)) => out.push(frame),
+                    Ok(None) => break,
+                    Err(CorruptFrame) => return false,
+                }
+            }
+            if n < room {
+                return true;
+            }
+        }
     }
 
     /// The next complete frame in the buffer, `Ok(None)` if more bytes
@@ -956,53 +1019,81 @@ impl FrameReader {
     }
 }
 
-/// Reads frames from `src` into `deliver` until EOF, a read error, a
-/// corrupt length, shutdown, or `deliver` returning `false`. The read
-/// timeout installed by the accept loop surfaces as `WouldBlock` or
-/// `TimedOut` and is a cue to re-check `stop`, not an error.
-fn pump_frames(
-    src: &mut impl Read,
-    stop: &AtomicBool,
-    mut deliver: impl FnMut(NodeId, Bytes) -> bool,
-) {
-    let mut reader = FrameReader::new();
-    while !stop.load(Ordering::SeqCst) {
-        match reader.fill(src) {
-            Ok(0) => return,
-            Ok(_) => loop {
-                match reader.next_frame() {
-                    Ok(Some((from, frame))) => {
-                        if !deliver(from, frame) {
-                            return;
-                        }
-                    }
-                    Ok(None) => break,
-                    Err(CorruptFrame) => return, // drop the connection
-                }
-            },
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
-                ) => {}
-            Err(_) => return,
-        }
-    }
-}
-
-fn read_loop(mut stream: TcpStream, inbox: Sender<NodeEvent>, stop: Arc<AtomicBool>) {
-    pump_frames(&mut stream, &stop, |from, frame| {
-        inbox.send(NodeEvent::Wire { from, frame }).is_ok()
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
+    use tokq_sys::{Events, Waker};
 
     fn loopback() -> SocketAddr {
         "127.0.0.1:0".parse().expect("valid addr")
+    }
+
+    /// An address nothing listens on.
+    fn dead_addr() -> SocketAddr {
+        let listener = TcpListener::bind(loopback()).expect("bind");
+        listener.local_addr().expect("addr")
+    }
+
+    /// A node loop reduced to its receive side: a thread serving one
+    /// [`Inbound`] from its own poller and handing every frame to a
+    /// channel. Its waker ends it.
+    struct Endpoint {
+        addr: SocketAddr,
+        frames: Receiver<(NodeId, Bytes)>,
+        stop: Arc<AtomicBool>,
+        waker: Arc<Waker>,
+        thread: Option<std::thread::JoinHandle<()>>,
+    }
+
+    impl Endpoint {
+        fn bind() -> Self {
+            const WAKE: u64 = 0;
+            let listener = TcpListener::bind(loopback()).expect("bind");
+            let addr = listener.local_addr().expect("addr");
+            let poller = Poller::new().expect("poller");
+            let waker = Arc::new(Waker::new().expect("eventfd"));
+            poller
+                .register(&*waker, WAKE, Interest::READABLE.edge())
+                .expect("register waker");
+            let mut inbound = Inbound::new(listener, &poller).expect("inbound");
+            let stop = Arc::new(AtomicBool::new(false));
+            let (tx, rx) = unbounded();
+            let halt = Arc::clone(&stop);
+            let thread = std::thread::spawn(move || {
+                let mut events = Events::with_capacity(16);
+                let mut frames = Vec::new();
+                while !halt.load(Ordering::SeqCst) {
+                    let timeout = inbound
+                        .resume_at()
+                        .map(|at| at.saturating_duration_since(Instant::now()));
+                    poller.wait(&mut events, timeout).expect("wait");
+                    inbound.resume(&poller);
+                    for token in events.tokens().filter(|&t| t != WAKE) {
+                        inbound.ready(&poller, token, &mut frames);
+                    }
+                    for frame in frames.drain(..) {
+                        let _ = tx.send(frame);
+                    }
+                }
+            });
+            Endpoint {
+                addr,
+                frames: rx,
+                stop,
+                waker,
+                thread: Some(thread),
+            }
+        }
+    }
+
+    impl Drop for Endpoint {
+        fn drop(&mut self) {
+            self.stop.store(true, Ordering::SeqCst);
+            let _ = self.waker.wake();
+            if let Some(t) = self.thread.take() {
+                let _ = t.join();
+            }
+        }
     }
 
     fn env_to0(from: u32, payload: &[u8]) -> Envelope {
@@ -1013,11 +1104,8 @@ mod tests {
         }
     }
 
-    fn recv_frame(rx: &crossbeam::channel::Receiver<NodeEvent>, timeout: Duration) -> Bytes {
-        match rx.recv_timeout(timeout).expect("frame") {
-            NodeEvent::Wire { frame, .. } => frame,
-            other => panic!("unexpected event {other:?}"),
-        }
+    fn recv_frame(rx: &Receiver<(NodeId, Bytes)>, timeout: Duration) -> Bytes {
+        rx.recv_timeout(timeout).expect("frame").1
     }
 
     /// Polls `cond` for up to five seconds; the writer pipeline is
@@ -1035,45 +1123,36 @@ mod tests {
 
     #[test]
     fn frame_roundtrips_over_loopback() {
-        let (tx, rx) = unbounded();
-        let recv = TcpReceiver::bind(loopback(), tx).expect("bind");
-        let sender = TcpSender::new(vec![recv.local_addr()]);
+        let ep = Endpoint::bind();
+        let sender = TcpSender::new(vec![ep.addr]);
         sender.send(Envelope {
             from: NodeId(7),
             to: NodeId(0),
             frame: Bytes::from_static(b"hello tcp"),
         });
-        let ev = rx.recv_timeout(Duration::from_secs(5)).expect("delivered");
-        match ev {
-            NodeEvent::Wire { from, frame } => {
-                assert_eq!(from, NodeId(7));
-                assert_eq!(&frame[..], b"hello tcp");
-            }
-            other => panic!("unexpected event {other:?}"),
-        }
+        let (from, frame) = ep
+            .frames
+            .recv_timeout(Duration::from_secs(5))
+            .expect("delivered");
+        assert_eq!(from, NodeId(7));
+        assert_eq!(&frame[..], b"hello tcp");
     }
 
     #[test]
     fn many_frames_keep_order_per_connection() {
-        let (tx, rx) = unbounded();
-        let recv = TcpReceiver::bind(loopback(), tx).expect("bind");
-        let sender = TcpSender::new(vec![recv.local_addr()]);
+        let ep = Endpoint::bind();
+        let sender = TcpSender::new(vec![ep.addr]);
         for i in 0..100u8 {
             sender.send(env_to0(1, &[i]));
         }
         for i in 0..100u8 {
-            assert_eq!(recv_frame(&rx, Duration::from_secs(5))[0], i);
+            assert_eq!(recv_frame(&ep.frames, Duration::from_secs(5))[0], i);
         }
     }
 
     #[test]
     fn send_to_dead_peer_queues_without_blocking() {
-        // Bind and immediately shut down to get a dead address.
-        let (tx, _rx) = unbounded();
-        let mut recv = TcpReceiver::bind(loopback(), tx).expect("bind");
-        let addr = recv.local_addr();
-        recv.shutdown();
-        drop(recv);
+        let addr = dead_addr();
         let sender = TcpSender::new(vec![addr]);
         // Must not panic or hang; the frame parks for retry.
         sender.send(env_to0(0, b"x"));
@@ -1082,11 +1161,7 @@ mod tests {
 
     #[test]
     fn queue_overflow_abandons_oldest() {
-        let (tx, _rx) = unbounded();
-        let mut recv = TcpReceiver::bind(loopback(), tx).expect("bind");
-        let addr = recv.local_addr();
-        recv.shutdown();
-        drop(recv);
+        let addr = dead_addr();
         let obs = Obs::disabled(Source::Runtime);
         let policy = BackoffPolicy {
             queue_cap: 4,
@@ -1160,11 +1235,11 @@ mod tests {
     #[test]
     fn blocked_link_parks_frames_and_heals_in_order() {
         let obs = Obs::disabled(Source::Runtime);
-        let (tx, rx) = unbounded();
-        let recv = TcpReceiver::bind(loopback(), tx).expect("bind");
+        let ep = Endpoint::bind();
+        let rx = &ep.frames;
         let panel = FaultPanel::detached(2);
         let sender = TcpSender::with_panel(
-            vec![recv.local_addr(), recv.local_addr()],
+            vec![ep.addr, ep.addr],
             &obs,
             panel.clone(),
             BackoffPolicy::default(),
@@ -1177,7 +1252,7 @@ mod tests {
         assert_eq!(sender.pending_frames(), 5);
         panel.heal();
         for i in 0..5u8 {
-            assert_eq!(recv_frame(&rx, Duration::from_secs(5))[0], i);
+            assert_eq!(recv_frame(rx, Duration::from_secs(5))[0], i);
         }
         assert!(eventually(|| sender.pending_frames() == 0));
         assert_eq!(obs.registry().snapshot().counters["tcp_frames_requeued"], 5);
@@ -1188,11 +1263,11 @@ mod tests {
         // Block the link first so every send is a pure enqueue, then heal:
         // the whole backlog must leave in one coalesced batch write.
         let obs = Obs::disabled(Source::Runtime);
-        let (tx, rx) = unbounded();
-        let recv = TcpReceiver::bind(loopback(), tx).expect("bind");
+        let ep = Endpoint::bind();
+        let rx = &ep.frames;
         let panel = FaultPanel::detached(2);
         let sender = TcpSender::with_panel(
-            vec![recv.local_addr(), recv.local_addr()],
+            vec![ep.addr, ep.addr],
             &obs,
             panel.clone(),
             BackoffPolicy::default(),
@@ -1203,7 +1278,7 @@ mod tests {
         }
         panel.heal();
         for i in 0..32u8 {
-            assert_eq!(recv_frame(&rx, Duration::from_secs(5))[0], i);
+            assert_eq!(recv_frame(rx, Duration::from_secs(5))[0], i);
         }
         let snap = obs.registry().snapshot();
         let enqueue = &snap.histograms["send_enqueue_ns"];
@@ -1222,11 +1297,11 @@ mod tests {
 
     #[test]
     fn direct_path_never_overtakes_a_pending_frame() {
-        let (tx, rx) = unbounded();
-        let recv = TcpReceiver::bind(loopback(), tx).expect("bind");
-        let sender = TcpSender::new(vec![recv.local_addr()]);
+        let ep = Endpoint::bind();
+        let rx = &ep.frames;
+        let sender = TcpSender::new(vec![ep.addr]);
         sender.send(env_to0(1, b"connect"));
-        assert_eq!(&recv_frame(&rx, Duration::from_secs(5))[..], b"connect");
+        assert_eq!(&recv_frame(rx, Duration::from_secs(5))[..], b"connect");
         assert!(eventually(|| sender.pending_frames() == 0));
         // A frame the writer has not drained yet, as if enqueued while it
         // held the connection: the link is connected and unblocked, but
@@ -1237,17 +1312,13 @@ mod tests {
             .push_back(QueuedFrame::new(env_to0(1, b"first")));
         sender.inner.add_depth(0);
         sender.send(env_to0(1, b"second"));
-        assert_eq!(&recv_frame(&rx, Duration::from_secs(5))[..], b"first");
-        assert_eq!(&recv_frame(&rx, Duration::from_secs(5))[..], b"second");
+        assert_eq!(&recv_frame(rx, Duration::from_secs(5))[..], b"first");
+        assert_eq!(&recv_frame(rx, Duration::from_secs(5))[..], b"second");
     }
 
     #[test]
     fn shutdown_joins_writers_promptly_with_dead_peer() {
-        let (tx, _rx) = unbounded();
-        let mut recv = TcpReceiver::bind(loopback(), tx).expect("bind");
-        let addr = recv.local_addr();
-        recv.shutdown();
-        drop(recv);
+        let addr = dead_addr();
         let sender = TcpSender::new(vec![addr]);
         sender.send(env_to0(0, b"x"));
         let started = Instant::now();
@@ -1260,15 +1331,21 @@ mod tests {
     }
 
     #[test]
-    fn receiver_shutdown_joins_readers_with_live_connection() {
-        let (tx, _rx) = unbounded();
-        let mut recv = TcpReceiver::bind(loopback(), tx).expect("bind");
-        // A connected-but-quiet peer used to leave its reader thread
-        // blocked in read_exact forever; now readers poll the stop flag.
-        let _client = TcpStream::connect(recv.local_addr()).expect("connect");
-        std::thread::sleep(Duration::from_millis(30)); // let accept run
+    fn node_shutdown_returns_promptly_with_live_peer_connections() {
+        let cluster = crate::Cluster::builder(3).tcp().build();
+        // Locking through every node leaves each node's listener with
+        // accepted, connected-but-quiet peer connections.
+        for node in 0..3 {
+            drop(
+                cluster
+                    .handle(node)
+                    .expect("in range")
+                    .lock()
+                    .expect("granted"),
+            );
+        }
         let started = Instant::now();
-        recv.shutdown();
+        cluster.shutdown();
         assert!(
             started.elapsed() < Duration::from_secs(2),
             "shutdown hung: {:?}",
@@ -1307,15 +1384,10 @@ mod tests {
     }
 
     fn pump_all(chunks: Vec<Vec<u8>>) -> Vec<(NodeId, Bytes)> {
+        let mut src = Chunks(chunks.into());
+        let mut reader = FrameReader::new();
         let mut got = Vec::new();
-        pump_frames(
-            &mut Chunks(chunks.into()),
-            &AtomicBool::new(false),
-            |from, frame| {
-                got.push((from, frame));
-                true
-            },
-        );
+        while reader.read_available(&mut src, &mut got) {}
         got
     }
 
@@ -1349,11 +1421,7 @@ mod tests {
         let mut reader = FrameReader::new();
         let mut src = Chunks(vec![stream].into());
         let mut got = Vec::new();
-        while reader.fill(&mut src).expect("in-memory read") > 0 {
-            while let Some(frame) = reader.next_frame().expect("well-formed") {
-                got.push(frame);
-            }
-        }
+        while reader.read_available(&mut src, &mut got) {}
         assert_eq!(got.len(), 2);
         assert_eq!((got[0].0, &got[0].1[..]), (NodeId(4), &big[..]));
         assert_eq!((got[1].0, &got[1].1[..]), (NodeId(5), &b"after"[..]));
@@ -1375,14 +1443,25 @@ mod tests {
 
     #[test]
     fn oversized_frame_drops_connection_not_process() {
-        let (tx, rx) = unbounded();
-        let recv = TcpReceiver::bind(loopback(), tx).expect("bind");
+        let ep = Endpoint::bind();
+        let rx = &ep.frames;
         // Hand-craft a corrupt header claiming a gigantic frame.
-        let mut s = TcpStream::connect(recv.local_addr()).expect("connect");
+        let mut s = TcpStream::connect(ep.addr).expect("connect");
         let mut header = [0u8; 8];
         header[..4].copy_from_slice(&u32::MAX.to_be_bytes());
         s.write_all(&header).expect("write");
         // The reader must simply drop the connection; nothing delivered.
         assert!(rx.recv_timeout(Duration::from_millis(300)).is_err());
+        // Only that connection: the corrupt one is closed, another still
+        // delivers.
+        s.set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        assert!(matches!(s.read(&mut [0u8; 1]), Ok(0) | Err(_)));
+        let mut healthy = TcpStream::connect(ep.addr).expect("connect");
+        healthy
+            .write_all(&encoded(3, b"still served"))
+            .expect("write");
+        let (from, frame) = rx.recv_timeout(Duration::from_secs(5)).expect("frame");
+        assert_eq!((from, &frame[..]), (NodeId(3), &b"still served"[..]));
     }
 }

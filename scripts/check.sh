@@ -26,7 +26,19 @@ echo "==> rustdoc gate: cargo doc --no-deps -D warnings"
 # not held to the documentation bar.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet \
     -p tokq -p tokq-core -p tokq-protocol -p tokq-obs \
-    -p tokq-simnet -p tokq-workload -p tokq-analysis -p tokq-bench
+    -p tokq-simnet -p tokq-workload -p tokq-analysis -p tokq-bench \
+    -p tokq-sys
+
+echo "==> unsafe gate: every crate but crates/sys forbids unsafe code"
+for lib in crates/*/src/lib.rs; do
+    case "$lib" in
+        crates/sys/*) continue ;;
+    esac
+    if ! grep -q '^#!\[forbid(unsafe_code)\]' "$lib"; then
+        echo "$lib lacks #![forbid(unsafe_code)]" >&2
+        exit 1
+    fi
+done
 
 echo "==> sharded smoke: 4 resources on 4 shards over one live cluster"
 cargo run --release --quiet --example sharded_locks >/dev/null
@@ -39,6 +51,10 @@ cargo run --release --quiet --example chaos_smoke
 
 echo "==> tcp pipeline: head-of-line regression + wire-codec fuzz"
 cargo test -q --test tcp_pipeline
+
+echo "==> reactor: 5- and 32-node TCP thread census + lost-wakeup stress"
+# A thread per connection or a wedged node loop fails here.
+cargo test -q --test reactor
 
 echo "==> tcp bench smoke: grant latency, healthy vs one peer dead"
 cargo run --release --quiet -p tokq-bench --bin tcp_pipeline -- --rounds 3
