@@ -547,8 +547,8 @@ pub struct SoakReport {
     pub timed_out: bool,
     /// TCP outbox frames still pending when the run ended, measured after
     /// a post-heal drain window. A healed mesh must flush its parked
-    /// frames, so anything non-zero here means a writer could not empty
-    /// its queue (always 0 on the channel transport).
+    /// frames, so anything non-zero here means a node could not empty a
+    /// link's queue (always 0 on the channel transport).
     pub final_outbox_depth: i64,
     /// The cluster's metrics, kept alive past shutdown.
     pub metrics: Arc<ClusterMetrics>,
@@ -769,8 +769,8 @@ pub fn soak(opts: &SoakOptions) -> SoakReport {
     }
 
     // With the mesh healed and the workers stopped, the TCP send pipeline
-    // must flush every parked frame; give the writers a short window and
-    // record whatever depth remains.
+    // must flush every parked frame; give the node loops a short window
+    // and record whatever depth remains.
     let drain_deadline = Instant::now() + Duration::from_secs(2);
     while metrics.outbox_depth() > 0 && Instant::now() < drain_deadline {
         std::thread::sleep(Duration::from_millis(5));

@@ -12,7 +12,7 @@ use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, unbounded, RecvTimeoutError};
+use crossbeam::channel::{bounded, RecvTimeoutError};
 use tokq_obs::sink::JsonlWriter;
 use tokq_obs::{FlightRecorder, Level, Obs, Source};
 use tokq_protocol::api::ProtocolFactory;
@@ -22,10 +22,9 @@ use tokq_protocol::types::NodeId;
 use crate::fault::FaultPanel;
 use crate::inbox::{inbox, InboxTx};
 use crate::metrics::ClusterMetrics;
-use crate::node::{GrantReply, NodeEvent, NodeLoop};
+use crate::node::{GrantReply, NodeEvent, NodeLoop, NodeNet};
 use crate::service::{FaultError, LockError, ResourceId, ShardId};
-use crate::tcp::{BackoffPolicy, TcpSender};
-use crate::transport::{ChannelTransport, Envelope, NetOptions, Wire};
+use crate::transport::{ChannelTransport, NetOptions};
 
 /// How long [`ResourceHandle::try_lock`] waits for the local fast path.
 ///
@@ -150,72 +149,51 @@ impl ClusterBuilder {
             node_rxs.push(rx);
         }
 
-        let mut pump_threads = Vec::new();
-        let mut listeners = Vec::new();
-        let transport: Arc<dyn Wire> = if self.tcp {
+        let mut nets = Vec::with_capacity(self.n);
+        if self.tcp {
             // One loopback listener per node, ephemeral ports. Each node
-            // loop accepts and reads its own connections.
-            let mut addrs = Vec::with_capacity(self.n);
-            for _ in 0..self.n {
-                let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback listener");
-                addrs.push(listener.local_addr().expect("bound listener address"));
-                listeners.push(listener);
+            // loop accepts and reads its own connections and owns one
+            // outbound connection to each peer.
+            let listeners: Vec<TcpListener> = (0..self.n)
+                .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback listener"))
+                .collect();
+            let peers: Vec<_> = listeners
+                .iter()
+                .map(|l| l.local_addr().expect("bound listener address"))
+                .collect();
+            for listener in listeners {
+                nets.push(NodeNet::Tcp {
+                    listener,
+                    peers: peers.clone(),
+                    panel: fault_panel.clone(),
+                });
             }
-            Arc::new(TcpSender::with_panel(
-                addrs,
-                metrics.obs(),
-                fault_panel.clone(),
-                BackoffPolicy::default(),
-            ))
+            // Frames waiting behind a blocked link go out when a node
+            // hears of the heal.
+            let inboxes = node_txs.clone();
+            fault_panel.add_waker(Box::new(move || {
+                for tx in &inboxes {
+                    let _ = tx.send(NodeEvent::LinksChanged);
+                }
+            }));
         } else {
-            // The channel transport needs inbox senders that wrap
-            // envelopes into NodeEvents: a tiny pump per node.
-            let mut wire_txs = Vec::with_capacity(self.n);
-            for tx in &node_txs {
-                let (wtx, wrx) = unbounded::<Envelope>();
-                let tx = tx.clone();
-                let h = std::thread::Builder::new()
-                    .name("tokq-pump".into())
-                    .spawn(move || {
-                        while let Ok(env) = wrx.recv() {
-                            if tx
-                                .send(NodeEvent::Wire {
-                                    from: env.from,
-                                    frame: env.frame,
-                                })
-                                .is_err()
-                            {
-                                return;
-                            }
-                        }
-                    })
-                    .expect("spawn pump thread");
-                wire_txs.push(wtx);
-                pump_threads.push(h);
-            }
-            Arc::new(ChannelTransport::with_panel(
-                wire_txs,
+            let transport = Arc::new(ChannelTransport::new(
+                node_txs.clone(),
                 self.net,
                 metrics.obs(),
                 fault_panel.clone(),
-            ))
-        };
+            ));
+            nets.resize_with(self.n, || NodeNet::Channel(Arc::clone(&transport)));
+        }
 
-        let mut listeners = listeners.into_iter();
         let mut threads = Vec::with_capacity(self.n);
-        for (i, rx) in node_rxs.into_iter().enumerate() {
+        for (i, (rx, net)) in node_rxs.into_iter().zip(nets).enumerate() {
             let id = NodeId::from_index(i);
             let protocols = (0..self.shards)
                 .map(|s| self.config.build_shard(id, self.n, s))
                 .collect();
-            let node_loop = NodeLoop::new(
-                protocols,
-                rx,
-                listeners.next(),
-                Arc::clone(&transport),
-                Arc::clone(&metrics),
-            )
-            .expect("set up the node's epoll instance");
+            let node_loop = NodeLoop::new(protocols, rx, net, Arc::clone(&metrics))
+                .expect("set up the node's epoll instance");
             let h = std::thread::Builder::new()
                 .name(format!("tokq-node-{i}"))
                 .spawn(move || node_loop.run())
@@ -227,9 +205,7 @@ impl ClusterBuilder {
             shards: self.shards,
             node_txs,
             threads,
-            pump_threads,
             tcp: self.tcp,
-            transport: Some(transport),
             fault_panel,
             metrics,
         }
@@ -251,9 +227,7 @@ pub struct Cluster {
     /// inbox on exit, so later posts fail with `ShuttingDown`.
     node_txs: Vec<InboxTx>,
     threads: Vec<std::thread::JoinHandle<()>>,
-    pump_threads: Vec<std::thread::JoinHandle<()>>,
     tcp: bool,
-    transport: Option<Arc<dyn Wire>>,
     fault_panel: FaultPanel,
     metrics: Arc<ClusterMetrics>,
 }
@@ -271,6 +245,15 @@ impl std::fmt::Debug for Cluster {
 impl Cluster {
     /// Starts building an `n`-node cluster with default configuration
     /// (one shard, fault-tolerant protocol, instant channel transport).
+    ///
+    /// The default protocol configuration,
+    /// [`ArbiterConfig::fault_tolerant`], collects requests for 100 ms
+    /// (`t_collect`) before every grant, self-grants included: even an
+    /// uncontended lock call on a one-node cluster waits out that window,
+    /// so such a cluster serves about 10 lock calls per second. For
+    /// latency-bound use, shorten it with
+    /// [`ArbiterConfig::with_t_collect`] (and `with_t_forward`) and pass
+    /// the result to [`ClusterBuilder::config`].
     pub fn builder(n: usize) -> ClusterBuilder {
         ClusterBuilder {
             n,
@@ -464,16 +447,10 @@ impl Cluster {
         for tx in &self.node_txs {
             let _ = tx.send(NodeEvent::Shutdown);
         }
-        // Each loop exits on its Shutdown, closing its inbox, listener
-        // and accepted connections.
+        // Each loop exits on its Shutdown, closing its inbox and sockets.
+        // The last one to exit drops the channel transport, joining its
+        // network thread if it has one.
         for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-        // The node threads dropped their transport clones on exit; drop
-        // ours too so the envelope senders close and the pump threads can
-        // observe a disconnected channel and terminate.
-        self.transport = None;
-        for t in self.pump_threads.drain(..) {
             let _ = t.join();
         }
     }

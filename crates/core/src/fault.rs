@@ -13,15 +13,15 @@
 //! Semantics match the simulator's network model: frames already in
 //! flight when a partition starts still deliver (`crates/simnet`'s
 //! `crosses_partition` does the same). The channel transport evaluates
-//! blocks and loss at *send* time; the TCP transport evaluates them at
-//! *flush* time, on its writer threads, immediately before the frame
-//! would hit the socket — the protocol thread only enqueues. Both points
-//! are "the moment the frame would enter the network", so the observable
-//! semantics match.
+//! blocks and loss at *send* time; the TCP transport evaluates them when
+//! the sending node writes the frame into its socket, which a blocked
+//! link delays until the heal. Both points are "the moment the frame
+//! would enter the network", so the observable semantics match.
 //!
 //! Transports may register wakers ([`FaultPanel`] calls every waker on
-//! every transition): the TCP writer threads park while a link is
-//! blocked and a waker fires on heal, replacing timed polling.
+//! every transition): a TCP cluster's waker posts the transition to every
+//! node's inbox, so a node retries the links parked behind a block the
+//! moment they heal, with no timed polling.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -106,10 +106,10 @@ impl FaultPanel {
         }
     }
 
-    /// Registers a waker invoked after every fault transition. The TCP
-    /// sender uses this to re-flush parked frames the instant a link
+    /// Registers a waker invoked after every fault transition. A TCP
+    /// cluster uses this to re-flush parked frames the instant a link
     /// heals, instead of polling on a timer. Wakers must be cheap and
-    /// non-blocking (the TCP one pushes onto unbounded kick channels).
+    /// non-blocking (the TCP one posts one event to each node's inbox).
     pub(crate) fn add_waker(&self, waker: Box<dyn Fn() + Send + Sync>) {
         self.inner.wakers.write().push(waker);
     }
@@ -277,8 +277,8 @@ impl FaultPanel {
     /// True when the directed link `from → to` is blocked. Links outside
     /// the panel's matrix are never blocked: the panel only injects faults
     /// on the nodes it was sized for (senders may carry foreign ids, e.g.
-    /// a standalone [`crate::tcp::TcpSender`] with fewer addresses than
-    /// the cluster has nodes).
+    /// a standalone [`crate::tcp::Outbound`] built for a node id beyond a
+    /// small panel).
     pub fn is_blocked(&self, from: usize, to: usize) -> bool {
         if from >= self.inner.n || to >= self.inner.n {
             return false;
@@ -313,8 +313,8 @@ impl FaultPanel {
 
     /// Rolls only the injected-loss component (no block check), counting
     /// the drop when it hits. Used by transports that handle blocked links
-    /// separately (the TCP sender parks blocked frames instead of dropping
-    /// them).
+    /// separately (the TCP transport parks blocked frames instead of
+    /// dropping them).
     pub fn rolls_loss_drop(&self) -> bool {
         let loss = self.loss();
         if loss > 0.0 && self.roll() < loss {

@@ -74,14 +74,11 @@ pub struct ClusterMetrics {
     cs_completed: Counter,
     cs_requests: Counter,
     cs_rerequests: Counter,
-    // Transport-churn counters. The registry interns counters by name, so
-    // these are the same atomics the TCP sender increments.
+    // TCP send-path counters. The registry interns metrics by name, so
+    // these are the same atomics every node's outbound links record into.
     tcp_reconnects: Counter,
     tcp_frames_requeued: Counter,
     tcp_frames_abandoned: Counter,
-    tcp_direct_writes: Counter,
-    // Send-pipeline instrumentation, shared with the TCP writer threads
-    // through the same interning.
     tcp_outbox_depth: Gauge,
     tcp_frames_per_flush: Histogram,
     send_enqueue_ns: Histogram,
@@ -114,7 +111,6 @@ impl ClusterMetrics {
         let tcp_reconnects = obs.registry().counter("tcp_reconnects");
         let tcp_frames_requeued = obs.registry().counter("tcp_frames_requeued");
         let tcp_frames_abandoned = obs.registry().counter("tcp_frames_abandoned");
-        let tcp_direct_writes = obs.registry().counter("tcp_direct_writes");
         let tcp_outbox_depth = obs.registry().gauge("tcp_outbox_depth");
         let tcp_frames_per_flush = obs.registry().histogram("tcp_frames_per_flush");
         let send_enqueue_ns = obs.registry().histogram("send_enqueue_ns");
@@ -127,7 +123,6 @@ impl ClusterMetrics {
             tcp_reconnects,
             tcp_frames_requeued,
             tcp_frames_abandoned,
-            tcp_direct_writes,
             tcp_outbox_depth,
             tcp_frames_per_flush,
             send_enqueue_ns,
@@ -203,45 +198,37 @@ impl ClusterMetrics {
         self.tcp_reconnects.get()
     }
 
-    /// Frames parked in a TCP retry queue after a send failure or a
-    /// blocked link; they redeliver when the peer heals.
+    /// Frames that waited in a TCP link's queue instead of leaving in the
+    /// send that produced them: behind a connect, a full socket buffer, a
+    /// failure's backoff or a blocked link. They go out when the link
+    /// can take them.
     pub fn frames_requeued(&self) -> u64 {
         self.tcp_frames_requeued.get()
     }
 
-    /// Frames dropped because a TCP retry queue overflowed its bound.
+    /// Frames dropped because a TCP link's queue overflowed its bound.
     pub fn frames_abandoned(&self) -> u64 {
         self.tcp_frames_abandoned.get()
     }
 
-    /// Frames the protocol threads wrote whole straight into a TCP socket,
-    /// with no writer-thread hop. On a healthy, connected mesh nearly
-    /// every frame takes this path; zero on the channel transport.
-    pub fn direct_writes(&self) -> u64 {
-        self.tcp_direct_writes.get()
-    }
-
-    /// Frames currently pending in TCP per-peer outboxes (enqueued by the
-    /// protocol threads, or half-written by them, and not yet written or
-    /// dropped by a writer thread). Zero on the channel transport and on
-    /// an idle, healthy mesh.
+    /// Frames currently queued on the TCP links of every node (waiting to
+    /// be written, or partly written). Zero on the channel transport and
+    /// on an idle, healthy mesh.
     pub fn outbox_depth(&self) -> i64 {
         self.tcp_outbox_depth.get()
     }
 
-    /// Distribution of frames per successful TCP write: 1 for every direct
-    /// write from a protocol thread, the batch size for a writer thread's
-    /// coalesced write. Values above 1 mean bursts (or recovering
-    /// backlogs) are being collapsed into single syscalls.
+    /// Distribution of frames completed per successful TCP write: 1 for a
+    /// frame sent on a healthy link, more when a queued backlog leaves in
+    /// one coalesced write.
     pub fn frames_per_flush(&self) -> HistogramSummary {
         self.tcp_frames_per_flush.summary()
     }
 
-    /// Distribution of nanoseconds a protocol thread spends inside
-    /// [`crate::transport::Wire::send`] on the TCP transport. On the
-    /// direct path this includes the nonblocking `write` syscall; on the
-    /// fallback path it is the enqueue and writer kick. Either way `send`
-    /// never blocks, so it must not grow when a peer dies.
+    /// Distribution of nanoseconds a node thread spends in
+    /// [`crate::tcp::Outbound::send`] on the TCP transport: the
+    /// nonblocking `write` on a healthy link, the enqueue otherwise. It
+    /// never waits for a peer, so it must not grow when a peer dies.
     pub fn send_enqueue_ns(&self) -> HistogramSummary {
         self.send_enqueue_ns.summary()
     }
@@ -341,9 +328,9 @@ mod tests {
         obs.registry().gauge("tcp_outbox_depth").add(3);
         obs.registry().histogram("tcp_frames_per_flush").record(4);
         obs.registry().histogram("send_enqueue_ns").record(250);
-        obs.registry().counter("tcp_direct_writes").add(2);
+        obs.registry().counter("tcp_frames_abandoned").add(2);
         assert_eq!(m.outbox_depth(), 3);
-        assert_eq!(m.direct_writes(), 2);
+        assert_eq!(m.frames_abandoned(), 2);
         assert_eq!(m.frames_per_flush().count, 1);
         assert_eq!(m.send_enqueue_ns().count, 1);
         assert_eq!(m.send_enqueue_ns().sum, 250);

@@ -6,15 +6,16 @@
 //! exactly one place: its [`Poller`], until the earliest pending timer
 //! deadline. The poller watches the inbox's bell (an edge-triggered
 //! eventfd that posts ring only while the loop is parked) and, on the TCP
-//! transport, the node's own listener and every connection it accepted.
-//! Frames read in a wakeup and the inbox events taken with them are
-//! bucketed by shard and dispatched in one pass, so a burst of traffic on
-//! one shard is amortized into one pass instead of `K` interleaved
-//! context switches; control events (crash/recover/shutdown) act as batch
-//! barriers because they affect every shard at once.
+//! transport, every socket of the node: its listener, the connections it
+//! accepted, and its own outbound connection to each peer, whose frames
+//! it writes itself. Frames read in a wakeup and the inbox events taken
+//! with them are bucketed by shard and dispatched in one pass, so a burst
+//! of traffic on one shard is amortized into one pass instead of `K`
+//! interleaved context switches; control events (crash/recover/shutdown)
+//! act as batch barriers because they affect every shard at once.
 
 use std::collections::VecDeque;
-use std::net::TcpListener;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -27,11 +28,12 @@ use tokq_protocol::event::{Action, Input, Note};
 use tokq_protocol::types::NodeId;
 use tokq_sys::{Events, Interest, Poller};
 
+use crate::fault::FaultPanel;
 use crate::inbox::InboxRx;
 use crate::metrics::ClusterMetrics;
 use crate::service::{LockError, ShardId};
-use crate::tcp::Inbound;
-use crate::transport::{Envelope, Wire};
+use crate::tcp::{Inbound, Outbound};
+use crate::transport::{ChannelTransport, Envelope};
 use crate::wire;
 
 /// Trace target for protocol-level observations (notes, phases).
@@ -44,7 +46,8 @@ const T_NET: &str = "net";
 /// How many inbox events one drain pass may swallow before dispatching.
 const BATCH: usize = 128;
 
-/// Poller token of the inbox bell; [`Inbound`] owns every token above it.
+/// Poller token of the inbox bell; [`Inbound`] owns the tokens above it,
+/// up to [`Outbound::FIRST_TOKEN`].
 const BELL: u64 = 0;
 
 /// Ready descriptors taken per poller wait; more stay ready for the next.
@@ -82,6 +85,9 @@ pub(crate) enum NodeEvent {
         /// CS generation the releasing guard was granted under.
         gen: u64,
     },
+    /// The cluster's fault panel changed: retry the links whose frames
+    /// wait behind a blocked link.
+    LinksChanged,
     /// Simulated process crash (volatile state lost on every shard).
     Crash,
     /// Restart after a crash.
@@ -291,18 +297,38 @@ impl HotObs {
     }
 }
 
+/// How a node reaches its peers, as the cluster hands it over.
+pub(crate) enum NodeNet {
+    /// The in-process channel transport, shared by every node.
+    Channel(Arc<ChannelTransport>),
+    /// Loopback TCP: this node's listener, every node's address (by id)
+    /// and the cluster's fault panel.
+    Tcp {
+        listener: TcpListener,
+        peers: Vec<SocketAddr>,
+        panel: FaultPanel,
+    },
+}
+
+/// A node's transport, as its loop runs it.
+enum Net {
+    Channel(Arc<ChannelTransport>),
+    /// Both halves of the node's TCP endpoint, served by its poller.
+    Tcp {
+        inbound: Inbound,
+        outbound: Outbound,
+    },
+}
+
 pub(crate) struct NodeLoop {
     id: NodeId,
     shards: Vec<ShardState>,
     inbox: InboxRx,
     poller: Poller,
     events: Events,
-    /// The TCP receive side: this node's listener and accepted
-    /// connections. `None` on the channel transport.
-    inbound: Option<Inbound>,
+    net: Net,
     /// Frames read in the current wakeup, before staging.
     frames: Vec<(NodeId, Bytes)>,
-    transport: Arc<dyn Wire>,
     metrics: Arc<ClusterMetrics>,
     obs: Obs,
     hot: HotObs,
@@ -324,8 +350,8 @@ pub(crate) struct NodeLoop {
 }
 
 impl NodeLoop {
-    /// A loop for one node's `shards`, fed by `inbox` and, on the TCP
-    /// transport, by the connections `listener` accepts.
+    /// A loop for one node's `shards`, fed by `inbox` and sending and
+    /// receiving over `net`.
     ///
     /// # Errors
     ///
@@ -334,8 +360,7 @@ impl NodeLoop {
     pub(crate) fn new(
         shards: Vec<ArbiterNode>,
         inbox: InboxRx,
-        listener: Option<TcpListener>,
-        transport: Arc<dyn Wire>,
+        net: NodeNet,
         metrics: Arc<ClusterMetrics>,
     ) -> std::io::Result<Self> {
         assert!(!shards.is_empty(), "a node runs at least one shard");
@@ -346,18 +371,25 @@ impl NodeLoop {
         let hot = HotObs::new(&obs);
         let poller = Poller::new()?;
         poller.register(inbox.bell(), BELL, Interest::READABLE.edge())?;
-        let inbound = listener
-            .map(|listener| Inbound::new(listener, &poller))
-            .transpose()?;
+        let net = match net {
+            NodeNet::Channel(transport) => Net::Channel(transport),
+            NodeNet::Tcp {
+                listener,
+                peers,
+                panel,
+            } => Net::Tcp {
+                inbound: Inbound::new(listener, &poller)?,
+                outbound: Outbound::new(id, peers, &obs, panel),
+            },
+        };
         Ok(NodeLoop {
             id,
             shards: shards.into_iter().map(ShardState::new).collect(),
             inbox,
             poller,
             events: Events::with_capacity(POLL_EVENTS),
-            inbound,
+            net,
             frames: Vec::new(),
-            transport,
             metrics,
             obs,
             hot,
@@ -388,7 +420,7 @@ impl NodeLoop {
                     self.poll(next_due);
                     self.inbox.unpark();
                     unpolled = 0;
-                } else if self.inbound.is_some() && unpolled >= POLL_EVERY {
+                } else if matches!(self.net, Net::Tcp { .. }) && unpolled >= POLL_EVERY {
                     self.poll(Some(Instant::now()));
                     unpolled = 0;
                 } else {
@@ -403,22 +435,34 @@ impl NodeLoop {
     }
 
     /// Waits on the poller until `deadline` (`None`: until something is
-    /// ready), then reads every ready connection and stages its frames.
+    /// ready), then serves every ready socket: reads the inbound ones and
+    /// stages their frames, and writes out the outbound ones.
     fn poll(&mut self, deadline: Option<Instant>) {
-        let resume = self.inbound.as_ref().and_then(Inbound::resume_at);
-        let deadline = deadline.into_iter().chain(resume).min();
+        let (listener_due, links_due) = match &self.net {
+            Net::Tcp { inbound, outbound } => (inbound.resume_at(), outbound.resume_at()),
+            Net::Channel(_) => (None, None),
+        };
+        let deadline = [deadline, listener_due, links_due]
+            .into_iter()
+            .flatten()
+            .min();
         let timeout = deadline.map(|d| d.saturating_duration_since(Instant::now()));
         self.poller
             .wait(&mut self.events, timeout)
             .expect("waiting on the node's own epoll instance");
-        let Some(inbound) = self.inbound.as_mut() else {
+        let Net::Tcp { inbound, outbound } = &mut self.net else {
             return;
         };
         inbound.resume(&self.poller);
         for token in self.events.tokens() {
-            if token != BELL {
+            if token >= Outbound::FIRST_TOKEN {
+                outbound.ready(&self.poller, token);
+            } else if token != BELL {
                 inbound.ready(&self.poller, token, &mut self.frames);
             }
+        }
+        if links_due.is_some_and(|at| at <= Instant::now()) {
+            outbound.resume(&self.poller);
         }
         let mut frames = std::mem::take(&mut self.frames);
         for (from, frame) in frames.drain(..) {
@@ -536,6 +580,12 @@ impl NodeLoop {
                     return None;
                 }
                 Some((shard, ShardWork::Release { gen }))
+            }
+            NodeEvent::LinksChanged => {
+                if let Net::Tcp { outbound, .. } = &mut self.net {
+                    outbound.resume(&self.poller);
+                }
+                None
             }
             NodeEvent::Crash | NodeEvent::Recover | NodeEvent::Shutdown => {
                 unreachable!("control events are handled as barriers")
@@ -788,11 +838,14 @@ impl NodeLoop {
                     .field("bytes", &(frame.len() as u64)),
             );
         }
-        self.transport.send(Envelope {
-            from: self.id,
-            to,
-            frame,
-        });
+        match &mut self.net {
+            Net::Channel(transport) => transport.send(Envelope {
+                from: self.id,
+                to,
+                frame,
+            }),
+            Net::Tcp { outbound, .. } => outbound.send(&self.poller, to, frame),
+        }
     }
 }
 

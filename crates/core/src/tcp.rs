@@ -4,84 +4,77 @@
 //! The framing is `[u32 len][u32 sender][payload]` (big-endian), with the
 //! payload being the [`crate::wire`] encoding of the protocol message —
 //! including its shard tag, so the frames of every shard of a sharded
-//! cluster interleave on one socket per peer and the receiving node loop
-//! routes each to its protocol instance.
+//! cluster interleave on one connection per node pair and the receiving
+//! node loop routes each to its protocol instance.
 //!
-//! # Send pipeline
+//! Each node owns both halves of its endpoint, and neither has a thread:
+//! the node loop's [`Poller`] reports which of their sockets are ready.
 //!
-//! [`Wire::send`] never blocks and never connects. Established sockets
-//! are nonblocking, and on the hot path — the peer is connected and out
-//! of backoff, the [`FaultPanel`] lets the link through, and nothing
-//! (queued frame, writer batch, half-written tail) is pending for that
-//! peer — `send` writes the frame straight into the socket from the
-//! calling protocol thread: one `write` syscall, no thread hop. If the
-//! kernel takes only part of the frame, the rest becomes the
-//! connection's *tail*, which the peer's writer thread finishes before
-//! anything else.
+//! # Send path
 //!
-//! Every other case falls back to the outbox: `send` enqueues the frame
-//! into a bounded per-peer queue (drop-oldest on overflow, counted in
-//! `tcp_frames_abandoned`) and kicks that peer's dedicated writer thread.
-//! That covers no connection yet, a writer mid-flush (it holds the
-//! connection lock, which `send` only ever `try_lock`s), a full socket
-//! buffer, a write error, a blocked link and a non-empty outbox. The
-//! writer is the cold-path helper: it connects lazily, finishes tails,
-//! coalesces everything queued into a single buffered write per wakeup,
-//! and on failure parks the unsent frames and backs off exponentially
-//! with jitter ([`BackoffPolicy`]). It writes in blocking mode — only
-//! while the kernel buffer is full, bounded by a write-stall timeout — so
-//! a dead or slow peer costs its own writer thread some blocking time,
-//! never a protocol thread and never the other peers' links. There is no
-//! timed polling: writers sleep on their kick channel and wake on new
-//! frames, on the backoff deadline, or on a fault-panel transition.
+//! A node's [`Outbound`] holds one nonblocking connection per peer — so a
+//! node pair has one connection per direction, owned by its sender, as in
+//! a deployment of one node per host — with a plain queue of unsent
+//! frames. [`Outbound::send`] never blocks and never waits for a connect.
+//! When nothing is queued on the link and the link is connected, its
+//! fault-panel link is open and it is not waiting for the socket to
+//! drain, the frame goes straight into the socket: one `write` from the
+//! node thread. Otherwise it joins the link's queue and waits:
 //!
-//! A frame is either written whole on one connection or retried whole on
+//! * no connection yet: a nonblocking connect starts
+//!   ([`tokq_sys::connect_nonblocking`]), bounded by a 500 ms deadline;
+//! * the socket buffer is full: the link waits for writability, and a
+//!   link that makes no progress for 2 s is treated as failed;
+//! * a failure (connect or write): the connection is dropped and the
+//!   link backs off, exponentially with jitter (10 ms to 1 s);
+//! * a blocked link: the frames park until a [`FaultPanel`] transition,
+//!   which the cluster posts to every node's inbox.
+//!
+//! Writability, the connect, backoff and stall deadlines
+//! ([`Outbound::resume_at`]) and fault transitions all end in the same
+//! flush: everything queued leaves as one coalesced write, until the
+//! queue is empty or the socket would block. A queue holds at most 512
+//! frames; one more drops the oldest, counted in `tcp_frames_abandoned`.
+//!
+//! A frame is either written whole on one connection or resent whole on
 //! the next: a frame cut short by a dying connection was never framed on
-//! the peer, so resending it cannot duplicate delivery.
+//! the peer, so resending it cannot duplicate delivery. A queue carries
+//! one source node's frames to one peer, so it is exactly one link of the
+//! [`FaultPanel`] and keeps that link's order by being a queue.
 //!
-//! Partitions come from the shared [`FaultPanel`], consulted at the moment
-//! a frame would enter the network (the direct write or the writer's
-//! flush). A blocked link holds its frames (and every later frame on the
-//! same link, preserving per-link order) in the outbox; a heal wakes the
-//! writer, which drains them in order. Injected panel loss, by contrast,
+//! Blocks and injected loss are evaluated at the moment a frame would
+//! enter the network. A blocked link holds its frames; injected loss
 //! drops a frame outright, rolled exactly once per frame at its first
 //! write attempt (TCP cannot resurrect a frame the application never
 //! wrote), mirroring the simulator's loss semantics. Only queue overflow
-//! abandons frames (oldest first) — sustained unreachability then
-//! degrades to the lossy-network behaviour the fault-tolerant protocol
-//! configuration already handles.
+//! abandons frames — sustained unreachability then degrades to the
+//! lossy-network behaviour the fault-tolerant protocol configuration
+//! already handles.
 //!
 //! # Receive path
 //!
-//! The receive side has no threads. Each node loop owns an `Inbound`: the
-//! node's nonblocking listener and every connection it accepted, all
-//! registered with the loop's [`Poller`], which also watches the node's
-//! inbox bell. When a connection is ready the node thread reads it into
-//! that connection's fixed 4 KiB buffer until a read comes back short or
-//! would block, and parses every complete frame out of it; the buffer
-//! grows only while a frame larger than itself is being assembled. The
-//! frames join the inbox events of the same wakeup in one dispatch batch,
-//! so a frame costs its node one wakeup rather than a reader thread's
-//! wakeup plus a hand-off. A corrupt length closes that connection only;
-//! the peer's writer reconnects. Shutting a node down closes its listener
-//! and connections with it.
+//! Each node loop owns an `Inbound`: the node's nonblocking listener and
+//! every connection it accepted, all registered with the loop's
+//! [`Poller`], which also watches the node's inbox bell. When a connection
+//! is ready the node thread reads it into that connection's fixed 4 KiB
+//! buffer until a read comes back short or would block, and parses every
+//! complete frame out of it; the buffer grows only while a frame larger
+//! than itself is being assembled. The frames join the inbox events of the
+//! same wakeup in one dispatch batch. A corrupt length closes that
+//! connection only; the peer reconnects. Shutting a node down closes its
+//! listener and connections with it.
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
-use tokq_obs::{Counter, Gauge, Histogram, Obs, Source};
+use tokq_obs::{Counter, Gauge, Histogram, Obs};
 use tokq_protocol::types::NodeId;
 use tokq_sys::{Interest, Poller};
 
 use crate::fault::FaultPanel;
-use crate::transport::{Envelope, Wire};
 
 /// Maximum accepted frame payload (a PRIVILEGE for thousands of nodes is
 /// far below this; anything bigger is corruption).
@@ -101,676 +94,530 @@ const READ_BUF: usize = 4096;
 const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(1);
 const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(100);
 
-/// Upper bound on one blocking socket write; a peer that accepts the
-/// connection but never drains is treated as failed (frames park and the
-/// writer backs off) instead of pinning its writer thread forever.
+/// Most frames one link queues; a further frame drops the oldest.
+const QUEUE_CAP: usize = 512;
+
+/// How long a connect may stay in progress before it counts as failed.
+const CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// How long a link with bytes to write may wait for the socket to drain
+/// without progress: a peer that accepts the connection but never reads
+/// is treated as failed (the connection drops, the frames wait out a
+/// backoff and go out on a new one).
 const WRITE_STALL_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// Reconnect/backoff behaviour of a [`TcpSender`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BackoffPolicy {
-    /// Delay before the first retry after a send failure.
-    pub base: Duration,
-    /// Upper bound on the backoff delay.
-    pub max: Duration,
-    /// Uniform jitter added to each delay, as a fraction of the delay
-    /// (`0.5` adds up to +50%). Decorrelates reconnect storms when many
-    /// peers fail at once.
-    pub jitter: f64,
-    /// Per-peer outbox bound; overflow drops the oldest frame.
-    pub queue_cap: usize,
-}
+/// First backoff delay after a link fails, doubled on every further
+/// failure up to [`BACKOFF_MAX`].
+const BACKOFF_BASE: Duration = Duration::from_millis(10);
+const BACKOFF_MAX: Duration = Duration::from_secs(1);
 
-impl Default for BackoffPolicy {
-    fn default() -> Self {
-        BackoffPolicy {
-            base: Duration::from_millis(10),
-            max: Duration::from_secs(1),
-            jitter: 0.5,
-            queue_cap: 512,
-        }
-    }
-}
+/// Uniform jitter added to each backoff delay, as a fraction of it:
+/// decorrelates the reconnects of links that failed together.
+const BACKOFF_JITTER: f64 = 0.5;
 
-impl BackoffPolicy {
-    /// The delay following `current` in the exponential schedule.
-    fn next_delay(&self, current: Duration) -> Duration {
-        if current.is_zero() {
-            self.base
-        } else {
-            (current * 2).min(self.max)
-        }
-    }
-}
+/// Bytes of queued frames gathered into one write.
+const FLUSH_BYTES: usize = 64 * 1024;
 
-/// A frame parked in a peer's outbox.
-struct QueuedFrame {
-    env: Envelope,
-    /// Whether this frame was already counted in `tcp_frames_requeued`.
-    /// Set on the first write attempt that could not send it (failed or
-    /// short write, or blocked link); later re-parks are not recounted,
-    /// so the counter reads "frames that ever had to wait", matching the
-    /// old send-path semantics.
-    requeued: bool,
-    /// Whether injected loss was already rolled for this frame. Loss is
-    /// evaluated at write time but exactly once per frame, so retries do
-    /// not compound the configured probability.
+/// A frame waiting in a link's queue.
+struct Queued {
+    frame: Bytes,
+    /// Whether injected loss was already rolled for this frame: it is
+    /// rolled at the first write attempt, once, so retries do not
+    /// compound the configured probability.
     loss_rolled: bool,
+    /// Whether the frame was counted in `tcp_frames_requeued`: it did not
+    /// leave in the [`Outbound::send`] call that queued it.
+    waited: bool,
 }
 
-impl QueuedFrame {
-    fn new(env: Envelope) -> Self {
-        QueuedFrame {
-            env,
-            requeued: false,
-            loss_rolled: false,
-        }
-    }
-
-    /// Appends the frame's `[len][sender][payload]` encoding to `out`.
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.env.frame.len() as u32).to_be_bytes());
-        out.extend_from_slice(&self.env.from.0.to_be_bytes());
-        out.extend_from_slice(&self.env.frame);
-    }
+/// Connection state of one link.
+enum Conn {
+    /// No socket. After a failure the link backs off until `retry_at`;
+    /// with `None` it connects as soon as a frame waits.
+    Down { retry_at: Option<Instant> },
+    /// A nonblocking connect is in progress, failing at `deadline`.
+    Connecting {
+        stream: TcpStream,
+        deadline: Instant,
+    },
+    /// Connected. `stall` is set while bytes wait for the socket to drain:
+    /// the connection fails if no write progresses by then.
+    Up {
+        stream: TcpStream,
+        stall: Option<Instant>,
+    },
 }
 
-/// A frame the socket took only part of: the rest must follow on the same
-/// connection before any other byte.
-struct Tail {
-    frame: QueuedFrame,
-    /// Bytes of the frame's encoding already written.
-    written: usize,
-}
-
-/// Everything one peer's frames pass through: the queue shared by the
-/// enqueuing protocol threads and the writer, and the connection that
-/// both the direct path and the writer write into.
-struct PeerOutbox {
-    /// Held only for queue surgery (push/pop/trim) — never across a
-    /// connect or write syscall.
-    queue: Mutex<VecDeque<QueuedFrame>>,
-    /// Frames logically pending for this peer: queued, popped into a
-    /// writer's in-flight batch, or a connection's unfinished tail. Kept
-    /// outside the queue so `pending_frames`, the overflow check and the
-    /// direct path's "nothing ahead of me" check all see them.
-    depth: AtomicUsize,
-    /// The connection. The writer holds this lock across a whole flush
-    /// pass, connect and blocking writes included; `Wire::send` only
-    /// `try_lock`s it, so it never waits on the writer.
-    conn: Mutex<WriterConn>,
-    /// Wakes the peer's writer thread.
-    kick: Sender<()>,
-}
-
-/// Connection state of one peer link.
-struct WriterConn {
-    /// The established socket, nonblocking outside the writer's stalled
-    /// writes.
-    conn: Option<TcpStream>,
-    /// Current backoff delay; zero while the link is healthy.
+/// One peer's outbound link: its connection and its frames.
+struct Link {
+    addr: SocketAddr,
+    conn: Conn,
+    queue: VecDeque<Queued>,
+    /// Bytes of the head frame already written on the current
+    /// connection. Reset when the connection fails: the frame is resent
+    /// whole on the next one.
+    head_written: usize,
+    /// Current backoff step; zero once a write succeeds.
     delay: Duration,
-    /// Earliest instant the writer may retry after a failure.
-    next_attempt: Instant,
-    /// Whether a connection was ever established (distinguishes
-    /// reconnects from first connects).
+    /// Whether a connection was ever established (tells reconnects from
+    /// first connects).
     ever_connected: bool,
-    /// Reusable encoding buffer: one frame on the direct path,
-    /// header+frame pairs for a whole batch in the writer.
-    buf: Vec<u8>,
-    /// End offset of each frame within `buf`, for partial-write
-    /// accounting.
-    bounds: Vec<usize>,
-    /// A frame cut short by a full socket buffer on the direct path.
-    tail: Option<Tail>,
+    /// Whether the socket is registered for writability.
+    writable_interest: bool,
+    /// Queue length last added to the shared depth gauge.
+    reported: usize,
 }
 
-impl WriterConn {
-    fn new() -> Self {
-        WriterConn {
-            conn: None,
-            delay: Duration::ZERO,
-            next_attempt: Instant::now(),
-            ever_connected: false,
-            buf: Vec::new(),
-            bounds: Vec::new(),
-            tail: None,
+impl Link {
+    /// When this link next needs the loop without a socket event.
+    fn due(&self) -> Option<Instant> {
+        match &self.conn {
+            Conn::Down { retry_at } if !self.queue.is_empty() => *retry_at,
+            Conn::Down { .. } => None,
+            Conn::Connecting { deadline, .. } => Some(*deadline),
+            Conn::Up { stall, .. } => *stall,
         }
     }
 }
 
-/// Writes all of `bytes` into `stream`, which is nonblocking. While the
-/// kernel buffer is full the stream is switched to blocking mode, where
-/// each write is bounded by [`WRITE_STALL_TIMEOUT`], and switched back
-/// once everything is written. `Err(n)` reports the bytes written before
-/// the connection failed or stalled; the caller must then drop it.
-fn write_stalling(stream: &mut TcpStream, bytes: &[u8]) -> Result<(), usize> {
-    let mut off = 0;
-    let mut blocking = false;
-    while off < bytes.len() {
-        match stream.write(&bytes[off..]) {
-            Ok(0) => return Err(off),
-            Ok(n) => off += n,
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) if e.kind() == ErrorKind::WouldBlock && !blocking => {
-                if stream.set_nonblocking(false).is_err() {
-                    return Err(off);
-                }
-                blocking = true;
-            }
-            // Includes the stall timeout, which surfaces as WouldBlock
-            // once the stream blocks.
-            Err(_) => return Err(off),
-        }
-    }
-    // A stream left blocking would let the direct path block: fail the
-    // connection instead (every byte is written, so nothing is resent).
-    if blocking && stream.set_nonblocking(true).is_err() {
-        return Err(off);
-    }
-    Ok(())
-}
-
-/// What a flush pass left behind, deciding how the writer sleeps.
-enum FlushState {
-    /// Outbox empty: sleep until kicked.
-    Idle,
-    /// Frames held behind blocked links only: sleep until kicked (the
-    /// fault panel kicks on every transition, so a heal wakes us).
-    Parked,
-    /// A send failed: sleep until the backoff deadline or a kick.
-    Backoff(Instant),
-}
-
-struct SenderInner {
-    addrs: Vec<SocketAddr>,
-    peers: Vec<PeerOutbox>,
-    policy: BackoffPolicy,
-    connect_timeout: Duration,
-    panel: FaultPanel,
-    stop: AtomicBool,
-    /// SplitMix64 state for backoff jitter.
-    rng: AtomicU64,
-    /// Successful outbound connection establishments (incl. reconnects).
+/// Send-side telemetry, interned by name in the cluster's registry.
+struct SendStats {
+    /// Connections established, reconnects included.
     connects: Counter,
-    /// Connection establishments after a previous failure or disconnect.
+    /// Connections established after a failure on the same link.
     reconnects: Counter,
-    /// Frames that had to wait in an outbox past their first write
-    /// attempt (failed or short write, or blocked link), counted once
-    /// per frame.
+    /// Frames that did not leave in the send call that queued them.
     frames_requeued: Counter,
-    /// Frames dropped because an outbox overflowed its bound.
+    /// Frames dropped because their queue was full.
     frames_abandoned: Counter,
-    /// Frames written whole by the sending thread itself, with no writer
-    /// thread involved.
-    direct_writes: Counter,
-    /// Frames currently pending across all outboxes.
+    /// Frames queued across every link of every node.
     outbox_depth: Gauge,
-    /// Frames per successful write: 1 for a direct write or a finished
-    /// tail, the batch size for a writer's coalesced write.
+    /// Frames completed per successful write.
     frames_per_flush: Histogram,
-    /// Nanoseconds the caller spends inside `Wire::send`: the enqueue, or
-    /// on the direct path the write syscall.
+    /// Nanoseconds spent in [`Outbound::send`].
     enqueue_ns: Histogram,
 }
 
-impl SenderInner {
-    fn jittered(&self, delay: Duration) -> Duration {
-        if self.policy.jitter <= 0.0 {
-            return delay;
-        }
-        let state = self
-            .rng
-            .fetch_add(0x9e37_79b9_7f4a_7c15, Ordering::Relaxed)
-            .wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        let unit = (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        delay + delay.mul_f64(self.policy.jitter * unit)
-    }
-
-    /// Drops the connection and schedules the next retry one backoff
-    /// step out.
-    fn fail_conn(&self, w: &mut WriterConn) {
-        w.conn = None;
-        w.delay = self.policy.next_delay(w.delay);
-        w.next_attempt = Instant::now() + self.jittered(w.delay);
-    }
-
-    /// Adds one frame to peer `idx`'s logical depth.
-    fn add_depth(&self, idx: usize) {
-        self.peers[idx].depth.fetch_add(1, Ordering::Relaxed);
-        self.outbox_depth.add(1);
-    }
-
-    /// Removes `n` frames from peer `idx`'s logical depth (sent, dropped
-    /// by loss, or abandoned).
-    fn sub_depth(&self, idx: usize, n: usize) {
-        self.peers[idx].depth.fetch_sub(n, Ordering::Relaxed);
-        self.outbox_depth.sub(n as i64);
-    }
-
-    /// Counts `f` as requeued exactly once over its lifetime.
-    fn mark_requeued(&self, f: &mut QueuedFrame) {
-        if !f.requeued {
-            f.requeued = true;
-            self.frames_requeued.inc();
-        }
-    }
-
-    /// The direct path: writes `frame` into peer `idx`'s socket from the
-    /// calling thread when nothing can be ahead of it on that link.
-    /// Returns the frame when it must go through the outbox instead.
-    fn send_direct(&self, idx: usize, mut frame: QueuedFrame) -> Option<QueuedFrame> {
-        let peer = &self.peers[idx];
-        let Some(mut guard) = peer.conn.try_lock() else {
-            return Some(frame); // the writer is mid-flush
-        };
-        let w = &mut *guard;
-        // Depth counts queued frames, a writer's batch and a tail, so
-        // zero means no earlier frame of any link to this peer is
-        // pending and per-link order cannot break.
-        if w.conn.is_none()
-            || !w.delay.is_zero()
-            || peer.depth.load(Ordering::Relaxed) != 0
-            || self.panel.is_blocked(frame.env.from.index(), idx)
-        {
-            return Some(frame);
-        }
-        frame.loss_rolled = true;
-        if self.panel.rolls_loss_drop() {
-            return None; // injected loss: frame gone
-        }
-        w.buf.clear();
-        frame.encode_into(&mut w.buf);
-        let stream = w.conn.as_mut().expect("checked above");
-        let written = loop {
-            match stream.write(&w.buf) {
-                Ok(n) => break n,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break 0,
-                Err(_) => {
-                    self.fail_conn(w);
-                    self.mark_requeued(&mut frame);
-                    return Some(frame);
-                }
-            }
-        };
-        if written == w.buf.len() {
-            self.direct_writes.inc();
-            self.frames_per_flush.record(1);
-            return None;
-        }
-        self.mark_requeued(&mut frame);
-        if written == 0 {
-            return Some(frame); // socket buffer full: the writer waits it out
-        }
-        // Part of the frame is on the wire: the rest must follow on this
-        // connection, so it stays with the connection, not the queue.
-        self.add_depth(idx);
-        w.tail = Some(Tail { frame, written });
-        drop(guard);
-        let _ = peer.kick.send(());
-        None
-    }
-
-    /// Puts frames that could not be written back at the front of peer
-    /// `idx`'s outbox in order, trims it back under its bound
-    /// (drop-oldest: frames enqueued during the failed write may have
-    /// pushed it over), and backs off.
-    fn park_failed(
-        &self,
-        idx: usize,
-        w: &mut WriterConn,
-        unsent: impl DoubleEndedIterator<Item = QueuedFrame>,
-    ) -> FlushState {
-        let mut q = self.peers[idx].queue.lock();
-        for mut f in unsent.rev() {
-            self.mark_requeued(&mut f);
-            q.push_front(f);
-        }
-        while self.peers[idx].depth.load(Ordering::Relaxed) > self.policy.queue_cap {
-            if q.pop_front().is_none() {
-                break;
-            }
-            self.sub_depth(idx, 1);
-            self.frames_abandoned.inc();
-        }
-        drop(q);
-        self.fail_conn(w);
-        FlushState::Backoff(w.next_attempt)
-    }
-
-    /// One flush pass over peer `idx`: finishes a pending tail, then
-    /// repeatedly splits the outbox into held frames (blocked links, kept
-    /// in order) and a sendable batch, and writes the batch as a single
-    /// coalesced buffer. Returns how the writer should sleep.
-    fn flush_peer(&self, idx: usize, w: &mut WriterConn) -> FlushState {
-        if let Some(tail) = w.tail.take() {
-            // The connection that took the tail's head is still up (a
-            // failed direct write never leaves a tail behind).
-            w.buf.clear();
-            tail.frame.encode_into(&mut w.buf);
-            let stream = w.conn.as_mut().expect("a tail implies a connection");
-            if write_stalling(stream, &w.buf[tail.written..]).is_err() {
-                return self.park_failed(idx, w, std::iter::once(tail.frame));
-            }
-            self.sub_depth(idx, 1);
-            self.frames_per_flush.record(1);
-        }
-        loop {
-            if self.stop.load(Ordering::SeqCst) {
-                return FlushState::Idle;
-            }
-            if Instant::now() < w.next_attempt {
-                // Inside a backoff window the link is known-bad: leave
-                // everything parked until the deadline.
-                return if self.peers[idx].queue.lock().is_empty() {
-                    FlushState::Idle
-                } else {
-                    FlushState::Backoff(w.next_attempt)
-                };
-            }
-            let mut batch: Vec<QueuedFrame> = Vec::new();
-            let held_any;
-            {
-                let mut q = self.peers[idx].queue.lock();
-                if q.is_empty() {
-                    return FlushState::Idle;
-                }
-                let mut kept: VecDeque<QueuedFrame> = VecDeque::with_capacity(q.len());
-                // Source nodes with a held frame earlier in the scan: all
-                // their later frames must hold too, so a link healing
-                // mid-scan cannot reorder that link's frames.
-                let mut held_links: Vec<u32> = Vec::new();
-                while let Some(mut f) = q.pop_front() {
-                    let from = f.env.from;
-                    if held_links.contains(&from.0) || self.panel.is_blocked(from.index(), idx) {
-                        self.mark_requeued(&mut f);
-                        if !held_links.contains(&from.0) {
-                            held_links.push(from.0);
-                        }
-                        kept.push_back(f);
-                    } else if !f.loss_rolled && self.panel.rolls_loss_drop() {
-                        self.sub_depth(idx, 1); // injected loss: frame gone
-                    } else {
-                        f.loss_rolled = true;
-                        batch.push(f);
-                    }
-                }
-                held_any = !kept.is_empty();
-                *q = kept;
-            }
-            if batch.is_empty() {
-                return if held_any {
-                    FlushState::Parked
-                } else {
-                    FlushState::Idle
-                };
-            }
-            match self.write_batch(idx, w, &batch) {
-                Ok(()) => {
-                    w.delay = Duration::ZERO;
-                    self.sub_depth(idx, batch.len());
-                    self.frames_per_flush.record(batch.len() as u64);
-                    // Go around: more frames may have queued while the
-                    // batch was on the wire.
-                }
-                Err(sent) => {
-                    self.sub_depth(idx, sent);
-                    if sent > 0 {
-                        self.frames_per_flush.record(sent as u64);
-                    }
-                    return self.park_failed(idx, w, batch.into_iter().skip(sent));
-                }
-            }
-        }
-    }
-
-    /// Connects (if needed) and writes the whole batch as one coalesced
-    /// buffer. On failure returns `Err(sent)` with the count of frames
-    /// whose bytes were fully accepted; the boundary frame and everything
-    /// after it must be retried — a partially-written frame was never
-    /// framed on the peer, so resending it cannot duplicate delivery.
-    fn write_batch(
-        &self,
-        idx: usize,
-        w: &mut WriterConn,
-        batch: &[QueuedFrame],
-    ) -> Result<(), usize> {
-        if w.conn.is_none() {
-            let stream = TcpStream::connect_timeout(&self.addrs[idx], self.connect_timeout)
-                .map_err(|_| 0usize)?;
-            let _ = stream.set_nodelay(true);
-            // The timeout bounds the writer's blocking writes; the
-            // nonblocking mode keeps the direct path from ever blocking.
-            stream
-                .set_write_timeout(Some(WRITE_STALL_TIMEOUT))
-                .and_then(|()| stream.set_nonblocking(true))
-                .map_err(|_| 0usize)?;
-            self.connects.inc();
-            if w.ever_connected {
-                self.reconnects.inc();
-            }
-            w.ever_connected = true;
-            w.conn = Some(stream);
-        }
-        w.buf.clear();
-        w.bounds.clear();
-        for f in batch {
-            f.encode_into(&mut w.buf);
-            w.bounds.push(w.buf.len());
-        }
-        let stream = w.conn.as_mut().expect("just connected");
-        write_stalling(stream, &w.buf).map_err(|off| w.bounds.iter().filter(|&&b| b <= off).count())
-    }
-
-    fn pending_frames(&self) -> usize {
-        self.peers
-            .iter()
-            .map(|p| p.depth.load(Ordering::Relaxed))
-            .sum()
-    }
+/// The sending half of one node's TCP endpoint: a nonblocking connection
+/// and a bounded frame queue per peer, served by the node loop's
+/// [`Poller`]. See the [module docs](self) for the send path.
+///
+/// Its sockets are registered under tokens from [`Outbound::FIRST_TOKEN`]
+/// up (one per peer); the caller hands every such ready token to
+/// [`Outbound::ready`], and calls [`Outbound::resume`] once
+/// [`Outbound::resume_at`] has passed and after every transition of the
+/// [`FaultPanel`].
+pub struct Outbound {
+    from: NodeId,
+    links: Vec<Link>,
+    panel: FaultPanel,
+    /// Reusable buffer for one coalesced write.
+    buf: Vec<u8>,
+    /// SplitMix64 state for backoff jitter.
+    rng: u64,
+    stats: SendStats,
 }
 
-/// One writer thread per peer: sleeps on the kick channel, flushes on
-/// wakeup. Kicks arrive from `Wire::send` (new frame or tail), `shutdown`,
-/// and every fault-panel transition (so a heal drains parked frames
-/// immediately, with no timed polling anywhere).
-fn writer_loop(inner: Arc<SenderInner>, idx: usize, kick: Receiver<()>) {
-    loop {
-        if inner.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let peer = &inner.peers[idx];
-        // With nothing pending there is nothing to flush: leave the
-        // connection lock to the direct path rather than take it for a
-        // stale kick. Otherwise the lock is released before sleeping,
-        // reopening the direct path.
-        let state = if peer.depth.load(Ordering::Relaxed) == 0 {
-            FlushState::Idle
-        } else {
-            inner.flush_peer(idx, &mut peer.conn.lock())
-        };
-        let received = match state {
-            FlushState::Idle | FlushState::Parked => {
-                kick.recv().map_err(|_| RecvTimeoutError::Disconnected)
-            }
-            FlushState::Backoff(until) => {
-                kick.recv_timeout(until.saturating_duration_since(Instant::now()))
-            }
-        };
-        match received {
-            Ok(()) => {
-                // Coalesce a kick storm into one flush pass.
-                while kick.try_recv().is_ok() {}
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return,
-        }
-    }
-}
-
-/// The sending half: a connection, a bounded outbox and a dedicated
-/// writer thread per peer. `send` never blocks: it writes into an
-/// established nonblocking socket or enqueues for the writer.
-pub struct TcpSender {
-    inner: Arc<SenderInner>,
-    writers: Mutex<Vec<std::thread::JoinHandle<()>>>,
-}
-
-impl std::fmt::Debug for TcpSender {
+impl std::fmt::Debug for Outbound {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TcpSender")
-            .field("peers", &self.inner.addrs.len())
-            .field("pending_frames", &self.inner.pending_frames())
+        f.debug_struct("Outbound")
+            .field("from", &self.from)
+            .field("peers", &self.links.len())
+            .field("pending_frames", &self.pending_frames())
             .finish()
     }
 }
 
-impl TcpSender {
-    /// A sender that can reach every address in `addrs` (indexed by node).
-    pub fn new(addrs: Vec<SocketAddr>) -> Self {
-        Self::with_obs(addrs, &Obs::disabled(Source::Runtime))
-    }
+impl Outbound {
+    /// The poller token of the link to peer 0; peer `i` uses
+    /// `FIRST_TOKEN + i`. Tokens below it are free for the caller.
+    pub const FIRST_TOKEN: u64 = 1 << 32;
 
-    /// Like [`TcpSender::new`], recording pipeline telemetry into `obs`:
-    /// connection churn counters (`tcp_connects`, `tcp_reconnects`,
-    /// `tcp_frames_requeued`, `tcp_frames_abandoned`), the
-    /// `tcp_direct_writes` counter, the `tcp_outbox_depth` gauge, and the
-    /// `tcp_frames_per_flush` / `send_enqueue_ns` histograms.
-    pub fn with_obs(addrs: Vec<SocketAddr>, obs: &Obs) -> Self {
-        let panel = FaultPanel::new(addrs.len(), obs);
-        Self::with_panel(addrs, obs, panel, BackoffPolicy::default())
-    }
-
-    /// Full-control constructor: an external [`FaultPanel`] (shared with
-    /// the fault-injecting side) and an explicit [`BackoffPolicy`].
-    /// Spawns one `tokq-tcp-write-<peer>` thread per address.
-    pub fn with_panel(
-        addrs: Vec<SocketAddr>,
-        obs: &Obs,
-        panel: FaultPanel,
-        policy: BackoffPolicy,
-    ) -> Self {
-        let mut peers = Vec::with_capacity(addrs.len());
-        let mut kick_rxs = Vec::with_capacity(addrs.len());
-        for _ in 0..addrs.len() {
-            let (tx, rx) = unbounded::<()>();
-            peers.push(PeerOutbox {
-                queue: Mutex::new(VecDeque::new()),
-                depth: AtomicUsize::new(0),
-                conn: Mutex::new(WriterConn::new()),
-                kick: tx,
-            });
-            kick_rxs.push(rx);
-        }
-        let inner = Arc::new(SenderInner {
-            addrs,
-            peers,
-            policy,
-            connect_timeout: Duration::from_millis(500),
+    /// The outbound links of node `from` to every address in `peers`
+    /// (indexed by node id), consulting `panel` for blocked links and
+    /// injected loss. Nothing connects until a frame waits.
+    ///
+    /// Records the `tcp_connects`, `tcp_reconnects`,
+    /// `tcp_frames_requeued` and `tcp_frames_abandoned` counters, the
+    /// `tcp_outbox_depth` gauge and the `tcp_frames_per_flush` and
+    /// `send_enqueue_ns` histograms into `obs`.
+    pub fn new(from: NodeId, peers: Vec<SocketAddr>, obs: &Obs, panel: FaultPanel) -> Self {
+        let registry = obs.registry();
+        Outbound {
+            from,
+            links: peers
+                .into_iter()
+                .map(|addr| Link {
+                    addr,
+                    conn: Conn::Down { retry_at: None },
+                    queue: VecDeque::new(),
+                    head_written: 0,
+                    delay: Duration::ZERO,
+                    ever_connected: false,
+                    writable_interest: false,
+                    reported: 0,
+                })
+                .collect(),
             panel,
-            stop: AtomicBool::new(false),
-            rng: AtomicU64::new(0x7C9A_B0FF),
-            connects: obs.registry().counter("tcp_connects"),
-            reconnects: obs.registry().counter("tcp_reconnects"),
-            frames_requeued: obs.registry().counter("tcp_frames_requeued"),
-            frames_abandoned: obs.registry().counter("tcp_frames_abandoned"),
-            direct_writes: obs.registry().counter("tcp_direct_writes"),
-            outbox_depth: obs.registry().gauge("tcp_outbox_depth"),
-            frames_per_flush: obs.registry().histogram("tcp_frames_per_flush"),
-            enqueue_ns: obs.registry().histogram("send_enqueue_ns"),
-        });
-        // Any fault transition wakes every writer: parked frames drain
-        // the instant their link heals.
-        let kicks: Vec<Sender<()>> = inner.peers.iter().map(|p| p.kick.clone()).collect();
-        inner.panel.add_waker(Box::new(move || {
-            for k in &kicks {
-                let _ = k.send(());
-            }
-        }));
-        let writers = kick_rxs
-            .into_iter()
-            .enumerate()
-            .map(|(idx, rx)| {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("tokq-tcp-write-{idx}"))
-                    .spawn(move || writer_loop(inner, idx, rx))
-                    .expect("spawn tcp writer thread")
-            })
-            .collect();
-        TcpSender {
-            inner,
-            writers: Mutex::new(writers),
+            buf: Vec::new(),
+            rng: 0x7C9A_B0FF ^ u64::from(from.0),
+            stats: SendStats {
+                connects: registry.counter("tcp_connects"),
+                reconnects: registry.counter("tcp_reconnects"),
+                frames_requeued: registry.counter("tcp_frames_requeued"),
+                frames_abandoned: registry.counter("tcp_frames_abandoned"),
+                outbox_depth: registry.gauge("tcp_outbox_depth"),
+                frames_per_flush: registry.histogram("tcp_frames_per_flush"),
+                enqueue_ns: registry.histogram("send_enqueue_ns"),
+            },
         }
     }
 
-    /// The fault panel this sender consults before every write.
-    pub fn fault_panel(&self) -> &FaultPanel {
-        &self.inner.panel
-    }
-
-    /// Frames currently pending (queued, in a writer's in-flight batch,
-    /// or half-written) across all peers.
-    pub fn pending_frames(&self) -> usize {
-        self.inner.pending_frames()
-    }
-
-    /// Stops and joins every writer thread and closes every connection;
-    /// pending frames are dropped. Called automatically on drop.
-    pub fn shutdown(&self) {
-        self.inner.stop.store(true, Ordering::SeqCst);
-        for p in &self.inner.peers {
-            let _ = p.kick.send(());
-        }
-        for t in self.writers.lock().drain(..) {
-            let _ = t.join();
-        }
-        // With no connection, later sends can only enqueue.
-        for p in &self.inner.peers {
-            p.conn.lock().conn = None;
-        }
-    }
-}
-
-impl Wire for TcpSender {
-    fn send(&self, env: Envelope) {
+    /// Sends `frame` to peer `to`: writes it out now if its link can take
+    /// it, and queues it otherwise. Never blocks. A frame to an unknown
+    /// peer is dropped.
+    pub fn send(&mut self, poller: &Poller, to: NodeId, frame: Bytes) {
         let started = Instant::now();
-        let idx = env.to.index();
-        if idx >= self.inner.addrs.len() {
-            return; // no such peer: drop, like the channel transport
+        if to.index() < self.links.len() {
+            self.transmit(poller, to.index(), frame);
+            self.stats
+                .enqueue_ns
+                .record(started.elapsed().as_nanos() as u64);
         }
-        if let Some(frame) = self.inner.send_direct(idx, QueuedFrame::new(env)) {
-            let peer = &self.inner.peers[idx];
-            {
-                let mut q = peer.queue.lock();
-                // Drop-oldest at the bound. With every queued frame in a
-                // writer's in-flight batch there is nothing to pop; the
-                // bound is restored by the writer's post-failure trim.
-                if peer.depth.load(Ordering::Relaxed) >= self.inner.policy.queue_cap
-                    && q.pop_front().is_some()
-                {
-                    self.inner.sub_depth(idx, 1);
-                    self.inner.frames_abandoned.inc();
-                }
-                q.push_back(frame);
-                self.inner.add_depth(idx);
+    }
+
+    fn transmit(&mut self, poller: &Poller, idx: usize, frame: Bytes) {
+        let link = &mut self.links[idx];
+        let open = link.queue.is_empty() && !self.panel.is_blocked(self.from.index(), idx);
+        if let (
+            true,
+            Conn::Up {
+                stream,
+                stall: None,
+            },
+        ) = (open, &mut link.conn)
+        {
+            // Nothing is queued ahead on an open link: the frame goes
+            // straight out, unless injected loss takes it. What the socket
+            // does not take waits at the head of the queue, its written
+            // bytes counted, and the flush finds out why.
+            if self.panel.rolls_loss_drop() {
+                return;
             }
-            let _ = peer.kick.send(());
+            self.buf.clear();
+            encode_into(&mut self.buf, self.from, &frame);
+            let written = loop {
+                match stream.write(&self.buf) {
+                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                    result => break result.unwrap_or(0),
+                }
+            };
+            if written == self.buf.len() {
+                self.stats.frames_per_flush.record(1);
+                return;
+            }
+            link.queue.push_back(Queued {
+                frame,
+                loss_rolled: true,
+                waited: false,
+            });
+            link.head_written = written;
+            self.flush(idx);
+        } else {
+            if link.queue.len() >= QUEUE_CAP {
+                // Drop-oldest, sparing a head frame already partly
+                // written: its rest must follow on this connection.
+                let oldest = usize::from(link.head_written > 0);
+                link.queue.remove(oldest);
+                self.stats.frames_abandoned.inc();
+            }
+            link.queue.push_back(Queued {
+                frame,
+                loss_rolled: false,
+                waited: false,
+            });
+            match link.conn {
+                Conn::Up { stall: None, .. } => self.flush(idx),
+                Conn::Down { retry_at } if retry_at.is_none_or(|at| at <= Instant::now()) => {
+                    self.connect(poller, idx);
+                }
+                _ => {}
+            }
         }
-        self.inner
-            .enqueue_ns
-            .record(started.elapsed().as_nanos() as u64);
+        self.settle(poller, idx);
+    }
+
+    /// Serves a ready socket: completes a connect, notices a connection
+    /// the peer closed, or writes out frames waiting for writability.
+    /// Tokens that are not this endpoint's are ignored.
+    pub fn ready(&mut self, poller: &Poller, token: u64) {
+        let Some(idx) = token
+            .checked_sub(Self::FIRST_TOKEN)
+            .and_then(|i| usize::try_from(i).ok())
+            .filter(|&i| i < self.links.len())
+        else {
+            return;
+        };
+        let link = &mut self.links[idx];
+        match std::mem::replace(&mut link.conn, Conn::Down { retry_at: None }) {
+            Conn::Connecting { stream, .. } => {
+                // Writability ends the connect either way: an error, or a
+                // peer address to show for it.
+                if matches!(stream.take_error(), Ok(None)) && stream.peer_addr().is_ok() {
+                    link.conn = Conn::Up {
+                        stream,
+                        stall: None,
+                    };
+                    self.stats.connects.inc();
+                    if link.ever_connected {
+                        self.stats.reconnects.inc();
+                    }
+                    link.ever_connected = true;
+                    self.flush(idx);
+                } else {
+                    self.fail(idx);
+                }
+            }
+            Conn::Up { mut stream, stall } => {
+                // Peers never write on this connection, so a readable
+                // socket means the peer closed or reset it.
+                let open = match stream.read(&mut [0u8; 64]) {
+                    Ok(n) => n > 0,
+                    Err(e) => matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted),
+                };
+                link.conn = Conn::Up { stream, stall };
+                if open {
+                    self.flush(idx);
+                } else {
+                    self.fail(idx);
+                }
+            }
+            down => link.conn = down,
+        }
+        self.settle(poller, idx);
+    }
+
+    /// The earliest deadline of any link: a backoff to wait out, a
+    /// connect or a stalled write to give up on. `None` when none is
+    /// pending.
+    pub fn resume_at(&self) -> Option<Instant> {
+        self.links.iter().filter_map(Link::due).min()
+    }
+
+    /// Acts on every deadline that has passed and retries the links whose
+    /// frames are parked behind a fault: call it once
+    /// [`Outbound::resume_at`] is due and after every [`FaultPanel`]
+    /// transition.
+    pub fn resume(&mut self, poller: &Poller) {
+        let now = Instant::now();
+        for idx in 0..self.links.len() {
+            let link = &self.links[idx];
+            match &link.conn {
+                Conn::Down { retry_at } => {
+                    if !link.queue.is_empty() && retry_at.is_none_or(|at| at <= now) {
+                        self.connect(poller, idx);
+                    }
+                }
+                Conn::Connecting { deadline, .. } => {
+                    if *deadline <= now {
+                        self.fail(idx);
+                    }
+                }
+                Conn::Up {
+                    stall: Some(at), ..
+                } => {
+                    if *at <= now {
+                        self.fail(idx);
+                    }
+                }
+                Conn::Up { stall: None, .. } => {
+                    if !link.queue.is_empty() {
+                        self.flush(idx);
+                    }
+                }
+            }
+            self.settle(poller, idx);
+        }
+    }
+
+    /// Frames queued across every link.
+    pub fn pending_frames(&self) -> usize {
+        self.links.iter().map(|l| l.queue.len()).sum()
+    }
+
+    /// Starts connecting link `idx`, or backs off if even that fails.
+    fn connect(&mut self, poller: &Poller, idx: usize) {
+        let link = &mut self.links[idx];
+        let token = Self::FIRST_TOKEN + idx as u64;
+        let started = tokq_sys::connect_nonblocking(&link.addr).and_then(|stream| {
+            stream.set_nodelay(true)?;
+            poller.register(&stream, token, Interest::READABLE.and(Interest::WRITABLE))?;
+            Ok(stream)
+        });
+        match started {
+            Ok(stream) => {
+                link.conn = Conn::Connecting {
+                    stream,
+                    deadline: Instant::now() + CONNECT_TIMEOUT,
+                };
+                link.writable_interest = true;
+            }
+            Err(_) => self.fail(idx),
+        }
+    }
+
+    /// Writes link `idx`'s queue, coalesced, until it is empty, the socket
+    /// would block, the link is blocked, or the connection fails. The
+    /// link must be connected.
+    fn flush(&mut self, idx: usize) {
+        let link = &mut self.links[idx];
+        if self.panel.is_blocked(self.from.index(), idx) {
+            // Parked until a fault transition: stop waiting for
+            // writability, which would only report a writable socket
+            // over and over.
+            if let Conn::Up { stall, .. } = &mut link.conn {
+                *stall = None;
+            }
+            return;
+        }
+        loop {
+            // Roll injected loss for frames on their first attempt and
+            // encode up to FLUSH_BYTES of the queue.
+            self.buf.clear();
+            let mut i = 0;
+            while i < link.queue.len() && self.buf.len() < FLUSH_BYTES {
+                let q = &mut link.queue[i];
+                if !q.loss_rolled {
+                    q.loss_rolled = true;
+                    if self.panel.rolls_loss_drop() {
+                        link.queue.remove(i);
+                        continue;
+                    }
+                }
+                encode_into(&mut self.buf, self.from, &q.frame);
+                i += 1;
+            }
+            let Conn::Up { stream, stall } = &mut link.conn else {
+                unreachable!("flush needs a connection");
+            };
+            if self.buf.is_empty() {
+                *stall = None;
+                return;
+            }
+            let bytes = &self.buf[link.head_written..];
+            let written = match stream.write(bytes) {
+                Ok(0) => return self.fail(idx),
+                Ok(n) => n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    stall.get_or_insert_with(|| Instant::now() + WRITE_STALL_TIMEOUT);
+                    return;
+                }
+                Err(_) => return self.fail(idx),
+            };
+            // Retire every frame the write completed; a frame it cut
+            // short stays at the head with its written bytes counted.
+            let mut left = link.head_written + written;
+            let mut sent = 0;
+            while let Some(q) = link.queue.front() {
+                let len = HEADER + q.frame.len();
+                if left < len {
+                    break;
+                }
+                left -= len;
+                link.queue.pop_front();
+                sent += 1;
+            }
+            link.head_written = left;
+            link.delay = Duration::ZERO;
+            if sent > 0 {
+                self.stats.frames_per_flush.record(sent);
+            }
+            if written < bytes.len() {
+                // The socket buffer is full: wait for writability, and
+                // give up if the peer drains nothing for too long.
+                *stall = Some(Instant::now() + WRITE_STALL_TIMEOUT);
+                return;
+            }
+        }
+    }
+
+    /// Drops link `idx`'s connection and backs off. The frames stay
+    /// queued, a partly written head frame included: it goes out whole
+    /// on the next connection.
+    fn fail(&mut self, idx: usize) {
+        let link = &mut self.links[idx];
+        link.delay = if link.delay.is_zero() {
+            BACKOFF_BASE
+        } else {
+            (link.delay * 2).min(BACKOFF_MAX)
+        };
+        self.rng = self.rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.rng;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^= z >> 31;
+        let unit = (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        let delay = link.delay + link.delay.mul_f64(BACKOFF_JITTER * unit);
+        // Dropping the stream closes it, which also ends its registration.
+        link.conn = Conn::Down {
+            retry_at: Some(Instant::now() + delay),
+        };
+        link.head_written = 0;
+        link.writable_interest = false;
+    }
+
+    /// Brings link `idx`'s bookkeeping up to date after a change: its
+    /// writability interest, the depth gauge, and the requeue count of
+    /// frames that stay queued.
+    fn settle(&mut self, poller: &Poller, idx: usize) {
+        let link = &mut self.links[idx];
+        if let Conn::Up { stream, stall } = &link.conn {
+            let want = stall.is_some();
+            if want != link.writable_interest {
+                let token = Self::FIRST_TOKEN + idx as u64;
+                let interest = if want {
+                    Interest::READABLE.and(Interest::WRITABLE)
+                } else {
+                    Interest::READABLE
+                };
+                if poller.modify(stream, token, interest).is_err() {
+                    return self.fail(idx);
+                }
+                link.writable_interest = want;
+            }
+        }
+        let len = link.queue.len();
+        if len != link.reported {
+            self.stats
+                .outbox_depth
+                .add(len as i64 - link.reported as i64);
+            link.reported = len;
+        }
+        // Frames are queued at the back, and every call ends here, so the
+        // frames not yet counted are a suffix of the queue.
+        for q in link.queue.iter_mut().rev() {
+            if q.waited {
+                break;
+            }
+            q.waited = true;
+            self.stats.frames_requeued.inc();
+        }
     }
 }
 
-impl Drop for TcpSender {
+/// Appends the `[len][sender][payload]` encoding of `frame` to `buf`.
+fn encode_into(buf: &mut Vec<u8>, from: NodeId, frame: &[u8]) {
+    buf.extend_from_slice(&(frame.len() as u32).to_be_bytes());
+    buf.extend_from_slice(&from.0.to_be_bytes());
+    buf.extend_from_slice(frame);
+}
+
+impl Drop for Outbound {
     fn drop(&mut self) {
-        self.shutdown();
+        // Closing the sockets drops whatever is still queued.
+        let queued: usize = self.links.iter().map(|l| l.reported).sum();
+        self.stats.outbox_depth.sub(queued as i64);
     }
 }
 
@@ -1022,6 +869,11 @@ impl FrameReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    use crossbeam::channel::{unbounded, Receiver};
+    use tokq_obs::Source;
     use tokq_sys::{Events, Waker};
 
     fn loopback() -> SocketAddr {
@@ -1096,40 +948,92 @@ mod tests {
         }
     }
 
-    fn env_to0(from: u32, payload: &[u8]) -> Envelope {
-        Envelope {
-            from: NodeId(from),
-            to: NodeId(0),
-            frame: Bytes::copy_from_slice(payload),
-        }
-    }
-
     fn recv_frame(rx: &Receiver<(NodeId, Bytes)>, timeout: Duration) -> Bytes {
         rx.recv_timeout(timeout).expect("frame").1
     }
 
-    /// Polls `cond` for up to five seconds; the writer pipeline is
-    /// asynchronous, so queue-state assertions need a grace window.
-    fn eventually(cond: impl Fn() -> bool) -> bool {
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while Instant::now() < deadline {
-            if cond() {
-                return true;
+    /// One node's send side, driven from the test thread the way a node
+    /// loop drives it: an [`Outbound`] and the poller its sockets are
+    /// registered with.
+    struct Sender {
+        out: Outbound,
+        poller: Poller,
+        events: Events,
+    }
+
+    impl Sender {
+        fn new(from: u32, peers: Vec<SocketAddr>, obs: &Obs, panel: FaultPanel) -> Self {
+            Sender {
+                out: Outbound::new(NodeId(from), peers, obs, panel),
+                poller: Poller::new().expect("poller"),
+                events: Events::with_capacity(16),
             }
-            std::thread::sleep(Duration::from_millis(2));
         }
-        false
+
+        /// A sender from node 1 to `peers`, with its own fault panel and
+        /// telemetry switched off.
+        fn plain(peers: Vec<SocketAddr>) -> Self {
+            let n = peers.len().max(2);
+            Self::new(
+                1,
+                peers,
+                &Obs::disabled(Source::Runtime),
+                FaultPanel::detached(n),
+            )
+        }
+
+        fn send(&mut self, payload: &[u8]) {
+            self.out
+                .send(&self.poller, NodeId(0), Bytes::copy_from_slice(payload));
+        }
+
+        /// Serves ready sockets and due deadlines until `done` holds,
+        /// for at most five seconds. Returns whether `done` held.
+        fn pump_until(&mut self, mut done: impl FnMut(&Outbound) -> bool) -> bool {
+            let limit = Instant::now() + Duration::from_secs(5);
+            while !done(&self.out) {
+                if Instant::now() >= limit {
+                    return false;
+                }
+                self.pump_once();
+            }
+            true
+        }
+
+        /// One short wait on the poller, then everything it reported and
+        /// every deadline that passed.
+        fn pump_once(&mut self) {
+            let wait = self.out.resume_at().map_or(Duration::from_millis(5), |at| {
+                at.saturating_duration_since(Instant::now())
+                    .min(Duration::from_millis(5))
+            });
+            self.poller
+                .wait(&mut self.events, Some(wait))
+                .expect("wait");
+            for token in self.events.tokens() {
+                self.out.ready(&self.poller, token);
+            }
+            if self.out.resume_at().is_some_and(|at| at <= Instant::now()) {
+                self.out.resume(&self.poller);
+            }
+        }
+
+        fn flushed(&mut self) -> bool {
+            self.pump_until(|out| out.pending_frames() == 0)
+        }
     }
 
     #[test]
     fn frame_roundtrips_over_loopback() {
         let ep = Endpoint::bind();
-        let sender = TcpSender::new(vec![ep.addr]);
-        sender.send(Envelope {
-            from: NodeId(7),
-            to: NodeId(0),
-            frame: Bytes::from_static(b"hello tcp"),
-        });
+        let mut sender = Sender::new(
+            7,
+            vec![ep.addr],
+            &Obs::disabled(Source::Runtime),
+            FaultPanel::detached(8),
+        );
+        sender.send(b"hello tcp");
+        assert!(sender.flushed());
         let (from, frame) = ep
             .frames
             .recv_timeout(Duration::from_secs(5))
@@ -1141,10 +1045,11 @@ mod tests {
     #[test]
     fn many_frames_keep_order_per_connection() {
         let ep = Endpoint::bind();
-        let sender = TcpSender::new(vec![ep.addr]);
+        let mut sender = Sender::plain(vec![ep.addr]);
         for i in 0..100u8 {
-            sender.send(env_to0(1, &[i]));
+            sender.send(&[i]);
         }
+        assert!(sender.flushed());
         for i in 0..100u8 {
             assert_eq!(recv_frame(&ep.frames, Duration::from_secs(5))[0], i);
         }
@@ -1152,83 +1057,70 @@ mod tests {
 
     #[test]
     fn send_to_dead_peer_queues_without_blocking() {
-        let addr = dead_addr();
-        let sender = TcpSender::new(vec![addr]);
-        // Must not panic or hang; the frame parks for retry.
-        sender.send(env_to0(0, b"x"));
-        assert_eq!(sender.pending_frames(), 1);
+        let mut sender = Sender::plain(vec![dead_addr()]);
+        let started = Instant::now();
+        sender.send(b"x");
+        assert!(started.elapsed() < Duration::from_millis(100));
+        assert_eq!(sender.out.pending_frames(), 1);
+        // The refused connect backs off and the frame keeps waiting.
+        assert!(sender.pump_until(|out| matches!(out.links[0].conn, Conn::Down { .. })));
+        assert_eq!(sender.out.pending_frames(), 1);
     }
 
     #[test]
-    fn queue_overflow_abandons_oldest() {
-        let addr = dead_addr();
+    fn queue_overflow_abandons_the_oldest_frames() {
+        const EXTRA: u32 = 10;
         let obs = Obs::disabled(Source::Runtime);
-        let policy = BackoffPolicy {
-            queue_cap: 4,
-            ..BackoffPolicy::default()
-        };
-        let sender = TcpSender::with_panel(vec![addr], &obs, FaultPanel::detached(1), policy);
-        for i in 0..10u8 {
-            sender.send(env_to0(0, &[i]));
+        let ep = Endpoint::bind();
+        let panel = FaultPanel::detached(2);
+        let mut sender = Sender::new(1, vec![ep.addr], &obs, panel.clone());
+        panel.block(1, 0);
+        let total = QUEUE_CAP as u32 + EXTRA;
+        for seq in 0..total {
+            sender.send(&seq.to_be_bytes());
         }
-        // The writer trims any transient over-cap backlog on its next
-        // failed flush, so poll rather than assert instantaneously.
-        assert!(
-            eventually(|| {
-                sender.pending_frames() <= 4
-                    && obs.registry().snapshot().counters["tcp_frames_abandoned"] >= 6
-            }),
-            "pending={} counters={:?}",
-            sender.pending_frames(),
-            obs.registry().snapshot().counters
-        );
+        assert_eq!(sender.out.pending_frames(), QUEUE_CAP);
+        let counters = obs.registry().snapshot().counters;
+        assert_eq!(counters["tcp_frames_abandoned"], u64::from(EXTRA));
+        panel.heal();
+        sender.out.resume(&sender.poller);
+        assert!(sender.flushed());
+        // The survivors are the newest frames, still in order.
+        for seq in EXTRA..total {
+            let frame = recv_frame(&ep.frames, Duration::from_secs(5));
+            assert_eq!(frame[..], seq.to_be_bytes());
+        }
+        assert!(ep.frames.recv_timeout(Duration::from_millis(50)).is_err());
+        assert_eq!(obs.registry().gauge("tcp_outbox_depth").get(), 0);
     }
 
     #[test]
     fn peer_reset_triggers_reconnect_and_redelivery() {
         // Raw listener so the test controls the server side of the
         // connection: accepting and dropping with data unread sends an
-        // RST, deterministically killing the sender's cached stream.
+        // RST, deterministically killing the sender's connection.
         let obs = Obs::disabled(Source::Runtime);
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let listener = TcpListener::bind(loopback()).expect("bind");
         let addr = listener.local_addr().expect("addr");
-        let sender = TcpSender::with_panel(
-            vec![addr],
-            &obs,
-            FaultPanel::detached(1),
-            BackoffPolicy {
-                base: Duration::from_millis(5),
-                ..BackoffPolicy::default()
-            },
-        );
-        sender.send(env_to0(0, b"doomed"));
+        let mut sender = Sender::new(1, vec![addr], &obs, FaultPanel::detached(2));
+        sender.send(b"doomed");
+        assert!(sender.flushed());
         let (first_conn, _) = listener.accept().expect("accept");
         drop(first_conn); // unread data → RST
-        std::thread::sleep(Duration::from_millis(50));
-        // The cached stream is now dead. A write into it can still land in
-        // the kernel buffer if the RST races us (that frame is lost — TCP
-        // semantics), so send a sacrificial probe first and give the
-        // writer a beat to flush it separately; the failing write forces a
-        // reconnect and every later frame arrives on the fresh connection.
-        sender.send(env_to0(0, b"probe"));
-        std::thread::sleep(Duration::from_millis(30));
-        sender.send(env_to0(0, b"after reset"));
+                          // The connection's reset is reported on its socket: the link drops
+                          // it before the next frame and reconnects for that frame.
+        assert!(sender.pump_until(|out| matches!(out.links[0].conn, Conn::Down { .. })));
+        sender.send(b"after reset");
+        assert!(sender.flushed());
         let (mut conn, _) = listener.accept().expect("re-accept");
-        let mut seen = Vec::new();
-        loop {
-            let mut header = [0u8; 8];
-            conn.read_exact(&mut header).expect("header");
-            let len = u32::from_be_bytes(header[..4].try_into().expect("4 bytes")) as usize;
-            let mut payload = vec![0u8; len];
-            conn.read_exact(&mut payload).expect("payload");
-            if payload == b"after reset" {
-                break;
-            }
-            seen.push(payload);
-            assert!(seen.len() < 3, "unexpected frames before redelivery");
-        }
+        let mut header = [0u8; 8];
+        conn.read_exact(&mut header).expect("header");
+        let len = u32::from_be_bytes(header[..4].try_into().expect("4 bytes")) as usize;
+        let mut payload = vec![0u8; len];
+        conn.read_exact(&mut payload).expect("payload");
+        assert_eq!(payload, b"after reset");
         let counters = obs.registry().snapshot().counters;
-        assert!(counters["tcp_reconnects"] >= 1, "{counters:?}");
+        assert_eq!(counters["tcp_reconnects"], 1, "{counters:?}");
         assert_eq!(counters["tcp_connects"], 2, "{counters:?}");
     }
 
@@ -1238,94 +1130,124 @@ mod tests {
         let ep = Endpoint::bind();
         let rx = &ep.frames;
         let panel = FaultPanel::detached(2);
-        let sender = TcpSender::with_panel(
-            vec![ep.addr, ep.addr],
-            &obs,
-            panel.clone(),
-            BackoffPolicy::default(),
-        );
+        let mut sender = Sender::new(1, vec![ep.addr], &obs, panel.clone());
         panel.block(1, 0);
         for i in 0..5u8 {
-            sender.send(env_to0(1, &[i]));
+            sender.send(&[i]);
         }
-        assert!(rx.recv_timeout(Duration::from_millis(80)).is_err());
-        assert_eq!(sender.pending_frames(), 5);
+        assert!(sender.pump_until(|out| matches!(out.links[0].conn, Conn::Up { .. })));
+        assert!(rx.recv_timeout(Duration::from_millis(50)).is_err());
+        assert_eq!(sender.out.pending_frames(), 5);
         panel.heal();
+        sender.out.resume(&sender.poller);
+        assert!(sender.flushed());
         for i in 0..5u8 {
             assert_eq!(recv_frame(rx, Duration::from_secs(5))[0], i);
         }
-        assert!(eventually(|| sender.pending_frames() == 0));
         assert_eq!(obs.registry().snapshot().counters["tcp_frames_requeued"], 5);
     }
 
     #[test]
-    fn send_stays_enqueue_only_and_batches_coalesce() {
-        // Block the link first so every send is a pure enqueue, then heal:
-        // the whole backlog must leave in one coalesced batch write.
+    fn a_parked_backlog_leaves_in_one_coalesced_write() {
         let obs = Obs::disabled(Source::Runtime);
         let ep = Endpoint::bind();
         let rx = &ep.frames;
         let panel = FaultPanel::detached(2);
-        let sender = TcpSender::with_panel(
-            vec![ep.addr, ep.addr],
-            &obs,
-            panel.clone(),
-            BackoffPolicy::default(),
-        );
+        let mut sender = Sender::new(1, vec![ep.addr], &obs, panel.clone());
         panel.block(1, 0);
         for i in 0..32u8 {
-            sender.send(env_to0(1, &[i]));
+            sender.send(&[i]);
         }
+        assert!(sender.pump_until(|out| matches!(out.links[0].conn, Conn::Up { .. })));
         panel.heal();
+        sender.out.resume(&sender.poller);
+        assert!(sender.flushed());
         for i in 0..32u8 {
             assert_eq!(recv_frame(rx, Duration::from_secs(5))[0], i);
         }
         let snap = obs.registry().snapshot();
-        let enqueue = &snap.histograms["send_enqueue_ns"];
-        assert_eq!(enqueue.count, 32, "every send recorded its enqueue time");
+        assert_eq!(snap.histograms["send_enqueue_ns"].count, 32);
         let per_flush = &snap.histograms["tcp_frames_per_flush"];
-        assert!(
-            per_flush.max >= 2,
-            "parked backlog should coalesce into a multi-frame batch: {per_flush:?}"
+        assert_eq!(
+            (per_flush.count, per_flush.max),
+            (1, 32),
+            "one write for the whole backlog"
         );
-        assert!(eventually(|| obs
-            .registry()
-            .gauge("tcp_outbox_depth")
-            .get()
-            == 0));
+        assert_eq!(obs.registry().gauge("tcp_outbox_depth").get(), 0);
     }
 
     #[test]
-    fn direct_path_never_overtakes_a_pending_frame() {
+    fn a_stalled_link_that_gets_blocked_stops_waiting_for_writability() {
+        // A peer that never reads: the link fills its socket and waits
+        // for writability with a stall deadline.
+        let listener = TcpListener::bind(loopback()).expect("bind");
+        let panel = FaultPanel::detached(2);
+        let obs = Obs::disabled(Source::Runtime);
+        let mut sender = Sender::new(
+            1,
+            vec![listener.local_addr().expect("addr")],
+            &obs,
+            panel.clone(),
+        );
+        // 16 MiB: more than the loopback socket buffers take.
+        let frame = vec![0u8; 32 * 1024];
+        for _ in 0..QUEUE_CAP {
+            sender.send(&frame);
+        }
+        assert!(
+            sender.pump_until(|out| matches!(out.links[0].conn, Conn::Up { stall: Some(_), .. }))
+        );
+        assert!(sender.out.links[0].writable_interest);
+        // Blocking the link parks its frames. Once the peer drains the
+        // socket, the writability it reports finds the link blocked: the
+        // link stops watching for writability (which would wake the loop
+        // over and over) and nothing is due.
+        panel.block(1, 0);
+        let (mut peer, _) = listener.accept().expect("accept");
+        peer.set_nonblocking(true).expect("nonblocking");
+        let mut sink = vec![0u8; 1 << 20];
+        assert!(sender.pump_until(|out| {
+            while peer.read(&mut sink).is_ok_and(|n| n > 0) {}
+            !out.links[0].writable_interest
+        }));
+        assert!(matches!(
+            sender.out.links[0].conn,
+            Conn::Up { stall: None, .. }
+        ));
+        assert_eq!(sender.out.resume_at(), None);
+    }
+
+    #[test]
+    fn a_send_never_overtakes_a_queued_frame() {
         let ep = Endpoint::bind();
         let rx = &ep.frames;
-        let sender = TcpSender::new(vec![ep.addr]);
-        sender.send(env_to0(1, b"connect"));
+        let mut sender = Sender::plain(vec![ep.addr]);
+        sender.send(b"connect");
+        assert!(sender.flushed());
         assert_eq!(&recv_frame(rx, Duration::from_secs(5))[..], b"connect");
-        assert!(eventually(|| sender.pending_frames() == 0));
-        // A frame the writer has not drained yet, as if enqueued while it
-        // held the connection: the link is connected and unblocked, but
-        // the next send must still queue behind it.
-        sender.inner.peers[0]
-            .queue
-            .lock()
-            .push_back(QueuedFrame::new(env_to0(1, b"first")));
-        sender.inner.add_depth(0);
-        sender.send(env_to0(1, b"second"));
+        // A frame still queued on a connected, writable link, as if a
+        // fault had just healed: the next send must go out behind it.
+        sender.out.links[0].queue.push_back(Queued {
+            frame: Bytes::from_static(b"first"),
+            loss_rolled: false,
+            waited: true,
+        });
+        sender.send(b"second");
+        assert!(sender.flushed());
         assert_eq!(&recv_frame(rx, Duration::from_secs(5))[..], b"first");
         assert_eq!(&recv_frame(rx, Duration::from_secs(5))[..], b"second");
     }
 
     #[test]
-    fn shutdown_joins_writers_promptly_with_dead_peer() {
-        let addr = dead_addr();
-        let sender = TcpSender::new(vec![addr]);
-        sender.send(env_to0(0, b"x"));
+    fn dropping_an_outbound_with_a_dead_peer_is_prompt() {
+        let mut sender = Sender::plain(vec![dead_addr()]);
+        sender.send(b"x");
+        sender.pump_until(|out| matches!(out.links[0].conn, Conn::Down { .. }));
         let started = Instant::now();
-        sender.shutdown();
+        drop(sender);
         assert!(
-            started.elapsed() < Duration::from_secs(3),
-            "shutdown hung: {:?}",
+            started.elapsed() < Duration::from_secs(1),
+            "drop hung: {:?}",
             started.elapsed()
         );
     }
@@ -1374,12 +1296,7 @@ mod tests {
 
     fn encoded(from: u32, payload: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
-        QueuedFrame::new(Envelope {
-            from: NodeId(from),
-            to: NodeId(0),
-            frame: Bytes::copy_from_slice(payload),
-        })
-        .encode_into(&mut out);
+        encode_into(&mut out, NodeId(from), payload);
         out
     }
 

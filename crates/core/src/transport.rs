@@ -1,28 +1,30 @@
-//! In-process transports moving encoded frames between node threads.
+//! The in-process transport moving encoded frames between node threads.
 //!
 //! Transports are **shard-oblivious**: a frame is an opaque byte string
 //! whose [`crate::wire`] header already carries the shard tag, so one
 //! transport mesh serves every protocol instance of a sharded cluster and
 //! demultiplexing happens in the node event loop, not here.
 //!
-//! The default [`ChannelTransport`] delivers frames over crossbeam
-//! channels, optionally through a network thread that applies configurable
-//! delay and loss — the same unreliability surface the simulator models,
-//! but in real time against real threads. On top of the static
-//! [`NetOptions`], every frame consults a runtime-mutable
-//! [`FaultPanel`]: blocked links (partitions)
-//! and injected loss bursts are applied at send time, mirroring the
-//! simulator's partition semantics.
+//! The default channel transport posts frames straight into the
+//! destination node's inbox, or through a network thread that applies
+//! configurable delay and loss — the same unreliability surface the
+//! simulator models, but in real time against real threads. On top of the
+//! static [`NetOptions`], every frame consults a runtime-mutable
+//! [`FaultPanel`]: blocked links (partitions) and injected loss bursts are
+//! applied at send time, mirroring the simulator's partition semantics.
+//! (The TCP transport lives in [`crate::tcp`].)
 
 use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use tokq_obs::{Counter, Gauge, Obs, Source};
+use tokq_obs::{Counter, Gauge, Obs};
 use tokq_protocol::types::NodeId;
 
 use crate::fault::FaultPanel;
+use crate::inbox::InboxTx;
+use crate::node::NodeEvent;
 
 /// Network behaviour applied by the transport.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -75,53 +77,27 @@ impl NetOptions {
     }
 }
 
-/// Anything that can carry an envelope toward its destination node.
-///
-/// Implemented by the in-process [`ChannelTransport`] and by the TCP
-/// transport in [`crate::tcp`]; node event loops are generic over it.
-pub trait Wire: Send + Sync + 'static {
-    /// Best-effort delivery of one envelope.
-    ///
-    /// **Must never block the caller.** Protocol threads call this while
-    /// driving request collection and token forwarding; an
-    /// implementation that connects, or writes into a socket that can
-    /// stall, couples every shard's latency to the slowest peer. The TCP
-    /// transport writes into an already-established nonblocking socket
-    /// when nothing is pending for that peer, and otherwise enqueues into
-    /// a bounded per-peer outbox for a writer thread; the channel
-    /// transport forwards over an unbounded in-process channel.
-    fn send(&self, env: Envelope);
-}
-
 /// A frame addressed to a node.
 #[derive(Debug, Clone)]
-pub struct Envelope {
+pub(crate) struct Envelope {
     /// Sender node.
-    pub from: NodeId,
+    pub(crate) from: NodeId,
     /// Destination node.
-    pub to: NodeId,
+    pub(crate) to: NodeId,
     /// Encoded message frame.
-    pub frame: Bytes,
+    pub(crate) frame: Bytes,
 }
 
-/// Delivers envelopes to per-node inboxes, applying [`NetOptions`].
+/// Delivers envelopes into the destination nodes' inboxes as
+/// `NodeEvent::Wire`, applying [`NetOptions`].
 ///
 /// Frames pass through a dedicated network thread when any delay, jitter,
-/// or loss is configured; otherwise they are forwarded synchronously.
-pub struct ChannelTransport {
-    direct: Vec<Sender<Envelope>>,
+/// or loss is configured; otherwise the sending node posts them itself.
+pub(crate) struct ChannelTransport {
+    inboxes: Vec<InboxTx>,
     net_tx: Option<Sender<Envelope>>,
     net_thread: Option<std::thread::JoinHandle<()>>,
     panel: FaultPanel,
-}
-
-impl std::fmt::Debug for ChannelTransport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ChannelTransport")
-            .field("nodes", &self.direct.len())
-            .field("has_net_thread", &self.net_thread.is_some())
-            .finish()
-    }
 }
 
 struct Delayed {
@@ -184,24 +160,23 @@ impl NetStats {
     }
 }
 
+/// Posts `env` into its destination's inbox; dead inboxes and unknown
+/// nodes drop it.
+fn deliver(inboxes: &[InboxTx], env: Envelope) {
+    if let Some(inbox) = inboxes.get(env.to.index()) {
+        let _ = inbox.send(NodeEvent::Wire {
+            from: env.from,
+            frame: env.frame,
+        });
+    }
+}
+
 impl ChannelTransport {
-    /// Builds a transport delivering into `inboxes` under `opts`.
-    pub fn new(inboxes: Vec<Sender<Envelope>>, opts: NetOptions) -> Self {
-        Self::with_obs(inboxes, opts, &Obs::disabled(Source::Runtime))
-    }
-
-    /// Like [`ChannelTransport::new`], recording loss/delay counters
+    /// A transport delivering into `inboxes` under `opts`, consulting
+    /// `panel` on every frame and recording loss/delay counters
     /// (`net_dropped`, `net_delivered`, `net_inflight`) into `obs`.
-    pub fn with_obs(inboxes: Vec<Sender<Envelope>>, opts: NetOptions, obs: &Obs) -> Self {
-        let panel = FaultPanel::new(inboxes.len(), obs);
-        Self::with_panel(inboxes, opts, obs, panel)
-    }
-
-    /// Like [`ChannelTransport::with_obs`], sharing an externally owned
-    /// [`FaultPanel`] so partitions and loss bursts can be injected while
-    /// the transport runs.
-    pub fn with_panel(
-        inboxes: Vec<Sender<Envelope>>,
+    pub(crate) fn new(
+        inboxes: Vec<InboxTx>,
         opts: NetOptions,
         obs: &Obs,
         panel: FaultPanel,
@@ -210,7 +185,7 @@ impl ChannelTransport {
             opts.delay > Duration::ZERO || opts.jitter > Duration::ZERO || opts.loss > 0.0;
         if !needs_thread {
             return ChannelTransport {
-                direct: inboxes,
+                inboxes,
                 net_tx: None,
                 net_thread: None,
                 panel,
@@ -224,37 +199,27 @@ impl ChannelTransport {
             .spawn(move || net_thread(rx, inboxes, opts, stats, thread_panel))
             .expect("spawn network thread");
         ChannelTransport {
-            direct: Vec::new(),
+            inboxes: Vec::new(),
             net_tx: Some(tx),
             net_thread: Some(thread),
             panel,
         }
     }
 
-    /// The fault panel this transport consults on every frame.
-    pub fn fault_panel(&self) -> &FaultPanel {
-        &self.panel
-    }
-
     /// Sends one envelope; delivery is best-effort (dead inboxes,
     /// simulated losses, and faulted links are silently dropped).
-    pub fn send(&self, env: Envelope) {
+    pub(crate) fn send(&self, env: Envelope) {
         if let Some(tx) = &self.net_tx {
             let _ = tx.send(env);
-        } else {
-            if !self.panel.admits(env.from.index(), env.to.index()) {
-                return;
-            }
-            if let Some(inbox) = self.direct.get(env.to.index()) {
-                let _ = inbox.send(env);
-            }
+        } else if self.panel.admits(env.from.index(), env.to.index()) {
+            deliver(&self.inboxes, env);
         }
     }
 }
 
-impl ChannelTransport {
+impl Drop for ChannelTransport {
     /// Stops the network thread (if any), dropping queued frames.
-    pub fn shutdown(&mut self) {
+    fn drop(&mut self) {
         self.net_tx = None;
         if let Some(t) = self.net_thread.take() {
             let _ = t.join();
@@ -262,21 +227,9 @@ impl ChannelTransport {
     }
 }
 
-impl Wire for ChannelTransport {
-    fn send(&self, env: Envelope) {
-        ChannelTransport::send(self, env);
-    }
-}
-
-impl Drop for ChannelTransport {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
 fn net_thread(
     rx: Receiver<Envelope>,
-    inboxes: Vec<Sender<Envelope>>,
+    inboxes: Vec<InboxTx>,
     opts: NetOptions,
     stats: NetStats,
     panel: FaultPanel,
@@ -291,9 +244,7 @@ fn net_thread(
             let d = heap.pop().expect("peeked");
             stats.inflight.sub(1);
             stats.delivered.inc();
-            if let Some(inbox) = inboxes.get(d.env.to.index()) {
-                let _ = inbox.send(d.env);
-            }
+            deliver(&inboxes, d.env);
         }
         let wait = heap
             .peek()
@@ -328,9 +279,7 @@ fn net_thread(
                     std::thread::sleep(d.due.saturating_duration_since(Instant::now()));
                     stats.inflight.sub(1);
                     stats.delivered.inc();
-                    if let Some(inbox) = inboxes.get(d.env.to.index()) {
-                        let _ = inbox.send(d.env);
-                    }
+                    deliver(&inboxes, d.env);
                 }
                 return;
             }
@@ -340,7 +289,12 @@ fn net_thread(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::VecDeque;
+
+    use tokq_obs::Source;
+
     use super::*;
+    use crate::inbox::{inbox, InboxRx};
 
     fn env(to: u32, payload: &[u8]) -> Envelope {
         Envelope {
@@ -350,26 +304,48 @@ mod tests {
         }
     }
 
+    /// A one-node transport under `opts` with its own fault panel, and the
+    /// node's inbox.
+    fn one_node(opts: NetOptions) -> (ChannelTransport, InboxRx) {
+        let (tx, rx) = inbox().expect("eventfd");
+        let obs = Obs::disabled(Source::Runtime);
+        let panel = FaultPanel::new(1, &obs);
+        (ChannelTransport::new(vec![tx], opts, &obs, panel), rx)
+    }
+
+    /// The payload of the next frame in `rx`, waiting up to `timeout`.
+    fn recv(rx: &InboxRx, timeout: Duration) -> Option<Bytes> {
+        let deadline = Instant::now() + timeout;
+        let mut out = VecDeque::new();
+        loop {
+            rx.take(&mut out, 1);
+            match out.pop_front() {
+                Some(NodeEvent::Wire { frame, .. }) => return Some(frame),
+                Some(other) => panic!("not a frame: {other:?}"),
+                None if Instant::now() >= deadline => return None,
+                None => std::thread::sleep(Duration::from_millis(1)),
+            }
+        }
+    }
+
     #[test]
     fn direct_transport_delivers_synchronously() {
-        let (tx, rx) = unbounded();
-        let t = ChannelTransport::new(vec![tx], NetOptions::instant());
+        let (t, rx) = one_node(NetOptions::instant());
         t.send(env(0, b"hello"));
-        let got = rx.try_recv().expect("delivered");
-        assert_eq!(&got.frame[..], b"hello");
+        let got = recv(&rx, Duration::ZERO).expect("delivered");
+        assert_eq!(&got[..], b"hello");
     }
 
     #[test]
     fn delayed_transport_takes_time() {
-        let (tx, rx) = unbounded();
-        let t = ChannelTransport::new(
-            vec![tx],
-            NetOptions::delayed(Duration::from_millis(30), Duration::ZERO),
-        );
+        let (t, rx) = one_node(NetOptions::delayed(
+            Duration::from_millis(30),
+            Duration::ZERO,
+        ));
         let start = Instant::now();
         t.send(env(0, b"x"));
-        let got = rx.recv_timeout(Duration::from_secs(2)).expect("delivered");
-        assert_eq!(&got.frame[..], b"x");
+        let got = recv(&rx, Duration::from_secs(2)).expect("delivered");
+        assert_eq!(&got[..], b"x");
         assert!(
             start.elapsed() >= Duration::from_millis(25),
             "took {:?}",
@@ -379,79 +355,72 @@ mod tests {
 
     #[test]
     fn total_loss_drops_everything() {
-        let (tx, rx) = unbounded();
-        let t = ChannelTransport::new(vec![tx], NetOptions::instant().lossy(1.0));
+        let (t, rx) = one_node(NetOptions::instant().lossy(1.0));
         for _ in 0..10 {
             t.send(env(0, b"y"));
         }
-        assert!(rx.recv_timeout(Duration::from_millis(100)).is_err());
+        assert!(recv(&rx, Duration::from_millis(100)).is_none());
     }
 
     #[test]
     fn out_of_range_destination_is_ignored() {
-        let (tx, rx) = unbounded();
-        let t = ChannelTransport::new(vec![tx], NetOptions::instant());
+        let (t, rx) = one_node(NetOptions::instant());
         t.send(env(5, b"z"));
-        assert!(rx.try_recv().is_err());
+        assert!(recv(&rx, Duration::ZERO).is_none());
     }
 
     #[test]
     fn blocked_link_drops_on_direct_path_and_heals() {
-        let (tx, rx) = unbounded();
-        let t = ChannelTransport::new(vec![tx], NetOptions::instant());
-        t.fault_panel().block(0, 0);
+        let (t, rx) = one_node(NetOptions::instant());
+        t.panel.block(0, 0);
         t.send(env(0, b"cut"));
-        assert!(rx.try_recv().is_err());
-        assert_eq!(t.fault_panel().blocked_drops(), 1);
-        t.fault_panel().heal();
+        assert!(recv(&rx, Duration::ZERO).is_none());
+        assert_eq!(t.panel.blocked_drops(), 1);
+        t.panel.heal();
         t.send(env(0, b"whole"));
-        assert_eq!(&rx.try_recv().expect("healed").frame[..], b"whole");
+        assert_eq!(&recv(&rx, Duration::ZERO).expect("healed")[..], b"whole");
     }
 
     #[test]
     fn blocked_link_drops_through_net_thread() {
-        let (tx, rx) = unbounded();
-        let t = ChannelTransport::new(
-            vec![tx],
-            NetOptions::delayed(Duration::from_millis(1), Duration::ZERO),
-        );
-        t.fault_panel().block(0, 0);
+        let (t, rx) = one_node(NetOptions::delayed(
+            Duration::from_millis(1),
+            Duration::ZERO,
+        ));
+        t.panel.block(0, 0);
         t.send(env(0, b"cut"));
-        assert!(rx.recv_timeout(Duration::from_millis(100)).is_err());
-        t.fault_panel().heal();
+        assert!(recv(&rx, Duration::from_millis(100)).is_none());
+        t.panel.heal();
         t.send(env(0, b"whole"));
-        let got = rx.recv_timeout(Duration::from_secs(2)).expect("healed");
-        assert_eq!(&got.frame[..], b"whole");
+        let got = recv(&rx, Duration::from_secs(2)).expect("healed");
+        assert_eq!(&got[..], b"whole");
     }
 
     #[test]
     fn injected_total_loss_drops_everything_until_cleared() {
-        let (tx, rx) = unbounded();
-        let t = ChannelTransport::new(vec![tx], NetOptions::instant());
-        t.fault_panel().set_loss(1.0);
+        let (t, rx) = one_node(NetOptions::instant());
+        t.panel.set_loss(1.0);
         for _ in 0..10 {
             t.send(env(0, b"y"));
         }
-        assert!(rx.try_recv().is_err());
-        t.fault_panel().set_loss(0.0);
+        assert!(recv(&rx, Duration::ZERO).is_none());
+        t.panel.set_loss(0.0);
         t.send(env(0, b"z"));
-        assert!(rx.try_recv().is_ok());
+        assert!(recv(&rx, Duration::ZERO).is_some());
     }
 
     #[test]
     fn ordering_preserved_with_constant_delay() {
-        let (tx, rx) = unbounded();
-        let t = ChannelTransport::new(
-            vec![tx],
-            NetOptions::delayed(Duration::from_millis(5), Duration::ZERO),
-        );
+        let (t, rx) = one_node(NetOptions::delayed(
+            Duration::from_millis(5),
+            Duration::ZERO,
+        ));
         for i in 0..20u8 {
             t.send(env(0, &[i]));
         }
-        let mut got = Vec::new();
-        for _ in 0..20 {
-            got.push(rx.recv_timeout(Duration::from_secs(2)).unwrap().frame[0]);
-        }
+        let got: Vec<u8> = (0..20)
+            .map(|_| recv(&rx, Duration::from_secs(2)).expect("delivered")[0])
+            .collect();
         let want: Vec<u8> = (0..20).collect();
         assert_eq!(got, want);
     }

@@ -12,6 +12,9 @@
 //!   readiness with an optional timeout.
 //! * [`Waker`] — an eventfd. Registered with a poller, it lets another
 //!   thread end that poller's wait.
+//! * [`connect_nonblocking`] — starts a TCP connect without waiting for
+//!   it: register the stream for [`Interest::WRITABLE`] and read the
+//!   outcome with [`std::net::TcpStream::take_error`] once it is ready.
 //!
 //! # Example
 //!
@@ -39,6 +42,7 @@ compile_error!("tokq-sys supports Linux only: it is built on epoll and eventfd")
 use std::ffi::{c_int, c_long, c_uint, c_void};
 use std::fs::File;
 use std::io::{self, Write as _};
+use std::net::{SocketAddr, TcpStream};
 use std::os::fd::{AsFd, AsRawFd, BorrowedFd, FromRawFd, OwnedFd};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -48,11 +52,18 @@ const EPOLL_CTL_ADD: c_int = 1;
 const EPOLL_CTL_DEL: c_int = 2;
 const EPOLL_CTL_MOD: c_int = 3;
 const EPOLLIN: u32 = 0x001;
+const EPOLLOUT: u32 = 0x004;
 const EPOLLRDHUP: u32 = 0x2000;
 const EPOLLET: u32 = 1 << 31;
 const EFD_CLOEXEC: c_int = 0o2_000_000;
 const EFD_NONBLOCK: c_int = 0o4_000;
 const ENOSYS: i32 = 38;
+const EINPROGRESS: i32 = 115;
+const AF_INET: c_int = 2;
+const AF_INET6: c_int = 10;
+const SOCK_STREAM: c_int = 1;
+const SOCK_NONBLOCK: c_int = 0o4_000;
+const SOCK_CLOEXEC: c_int = 0o2_000_000;
 
 /// `struct epoll_event`. The kernel declares it packed on x86-64 (12
 /// bytes, the token unaligned) and naturally aligned elsewhere.
@@ -71,6 +82,26 @@ struct Timespec {
     tv_nsec: c_long,
 }
 
+/// `struct sockaddr_in`: family, port and address in network byte order,
+/// padded to 16 bytes.
+#[repr(C)]
+struct SockaddrIn {
+    sin_family: u16,
+    sin_port: u16,
+    sin_addr: u32,
+    sin_zero: [u8; 8],
+}
+
+/// `struct sockaddr_in6` (28 bytes).
+#[repr(C)]
+struct SockaddrIn6 {
+    sin6_family: u16,
+    sin6_port: u16,
+    sin6_flowinfo: u32,
+    sin6_addr: [u8; 16],
+    sin6_scope_id: u32,
+}
+
 extern "C" {
     fn epoll_create1(flags: c_int) -> c_int;
     fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
@@ -83,6 +114,8 @@ extern "C" {
         sigmask: *const c_void,
     ) -> c_int;
     fn eventfd(initval: c_uint, flags: c_int) -> c_int;
+    fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
+    fn connect(fd: c_int, addr: *const c_void, len: c_uint) -> c_int;
 }
 
 /// Set once `epoll_pwait2` has reported `ENOSYS` (kernels before 5.11):
@@ -100,8 +133,8 @@ fn cvt(ret: c_int) -> io::Result<c_int> {
 
 /// Takes ownership of a descriptor a successful C call just returned.
 fn owned(fd: c_int) -> OwnedFd {
-    // SAFETY: `fd` was returned by a successful epoll_create1 or eventfd
-    // call in this crate and has not been handed to anything else, so it
+    // SAFETY: `fd` was returned by a successful epoll_create1, eventfd or
+    // socket call in this crate and has not been handed to anything else, so it
     // is open and this is its only owner.
     unsafe { OwnedFd::from_raw_fd(fd) }
 }
@@ -114,6 +147,16 @@ impl Interest {
     /// Data to read, or the peer closed its end. Level-triggered: reported
     /// by every wait for as long as it holds.
     pub const READABLE: Interest = Interest(EPOLLIN | EPOLLRDHUP);
+
+    /// Room to write, or a nonblocking connect finished (either way).
+    /// Level-triggered.
+    pub const WRITABLE: Interest = Interest(EPOLLOUT);
+
+    /// Both this readiness and `other`'s.
+    #[must_use]
+    pub const fn and(self, other: Interest) -> Interest {
+        Interest(self.0 | other.0)
+    }
 
     /// The same readiness, edge-triggered: reported once per change (for
     /// an eventfd, once per write) rather than for as long as it holds.
@@ -326,6 +369,73 @@ impl AsFd for Waker {
     }
 }
 
+/// Opens a nonblocking TCP socket and starts connecting it to `addr`
+/// without waiting: the connect goes on in the kernel. Register the
+/// stream with a [`Poller`] for [`Interest::WRITABLE`]; once it is
+/// reported, [`TcpStream::take_error`] returns `None` if the connection
+/// is up and the connect's error (`ECONNREFUSED`, say) if it failed.
+///
+/// # Errors
+///
+/// Any error of `socket`, or a `connect` error other than `EINPROGRESS`.
+pub fn connect_nonblocking(addr: &SocketAddr) -> io::Result<TcpStream> {
+    let domain = match addr {
+        SocketAddr::V4(_) => AF_INET,
+        SocketAddr::V6(_) => AF_INET6,
+    };
+    // SAFETY: socket takes no pointers.
+    let fd = cvt(unsafe { socket(domain, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0) })?;
+    let stream = TcpStream::from(owned(fd));
+    let ret = match addr {
+        SocketAddr::V4(a) => {
+            let sa = SockaddrIn {
+                sin_family: AF_INET as u16,
+                sin_port: a.port().to_be(),
+                sin_addr: u32::from_ne_bytes(a.ip().octets()),
+                sin_zero: [0; 8],
+            };
+            // SAFETY: `sa` is a live sockaddr_in of the kernel's layout for
+            // the whole call, which only reads `size_of` bytes of it; the
+            // descriptor is open because `stream` owns it.
+            unsafe {
+                connect(
+                    stream.as_raw_fd(),
+                    (&sa as *const SockaddrIn).cast(),
+                    std::mem::size_of::<SockaddrIn>() as c_uint,
+                )
+            }
+        }
+        SocketAddr::V6(a) => {
+            let sa = SockaddrIn6 {
+                sin6_family: AF_INET6 as u16,
+                sin6_port: a.port().to_be(),
+                sin6_flowinfo: a.flowinfo(),
+                sin6_addr: a.ip().octets(),
+                sin6_scope_id: a.scope_id(),
+            };
+            // SAFETY: as above, for a sockaddr_in6.
+            unsafe {
+                connect(
+                    stream.as_raw_fd(),
+                    (&sa as *const SockaddrIn6).cast(),
+                    std::mem::size_of::<SockaddrIn6>() as c_uint,
+                )
+            }
+        }
+    };
+    match cvt(ret) {
+        Ok(_) => Ok(stream),
+        // EINTR leaves the connect going on asynchronously, like EINPROGRESS.
+        Err(e)
+            if matches!(e.raw_os_error(), Some(EINPROGRESS))
+                || e.kind() == io::ErrorKind::Interrupted =>
+        {
+            Ok(stream)
+        }
+        Err(e) => Err(e),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -349,6 +459,63 @@ mod tests {
     fn epoll_event_has_the_kernel_layout() {
         let size = if cfg!(target_arch = "x86_64") { 12 } else { 16 };
         assert_eq!(std::mem::size_of::<EpollEvent>(), size);
+    }
+
+    #[test]
+    fn sockaddr_structs_have_the_kernel_layout() {
+        use std::mem::{align_of, offset_of, size_of};
+        assert_eq!(size_of::<SockaddrIn>(), 16);
+        assert_eq!(align_of::<SockaddrIn>(), 4);
+        assert_eq!(offset_of!(SockaddrIn, sin_port), 2);
+        assert_eq!(offset_of!(SockaddrIn, sin_addr), 4);
+        assert_eq!(offset_of!(SockaddrIn, sin_zero), 8);
+        assert_eq!(size_of::<SockaddrIn6>(), 28);
+        assert_eq!(align_of::<SockaddrIn6>(), 4);
+        assert_eq!(offset_of!(SockaddrIn6, sin6_port), 2);
+        assert_eq!(offset_of!(SockaddrIn6, sin6_flowinfo), 4);
+        assert_eq!(offset_of!(SockaddrIn6, sin6_addr), 8);
+        assert_eq!(offset_of!(SockaddrIn6, sin6_scope_id), 24);
+    }
+
+    /// Starts a connect to `addr` and waits until the poller reports it
+    /// finished, returning the stream.
+    fn connect_and_wait(addr: &SocketAddr) -> TcpStream {
+        let stream = connect_nonblocking(addr).expect("connect started");
+        let poller = Poller::new().expect("poller");
+        poller
+            .register(&stream, 3, Interest::WRITABLE)
+            .expect("register");
+        let mut events = Events::with_capacity(4);
+        assert_eq!(poller.wait(&mut events, LONG).expect("wait"), 1);
+        assert_eq!(tokens(&events), [3]);
+        stream
+    }
+
+    #[test]
+    fn loopback_connects_complete_through_writability() {
+        for bind in ["127.0.0.1:0", "[::1]:0"] {
+            let listener = TcpListener::bind(bind).expect("bind loopback");
+            let addr = listener.local_addr().expect("addr");
+            let mut stream = connect_and_wait(&addr);
+            assert!(stream.take_error().expect("SO_ERROR").is_none(), "{bind}");
+            assert_eq!(stream.peer_addr().expect("connected"), addr);
+            let (mut server, _) = listener.accept().expect("accept");
+            stream.write_all(b"hi").expect("write");
+            let mut buf = [0u8; 2];
+            server.read_exact(&mut buf).expect("read");
+            assert_eq!(&buf, b"hi");
+        }
+    }
+
+    #[test]
+    fn a_refused_connect_surfaces_through_take_error() {
+        let addr = {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+            listener.local_addr().expect("addr")
+        }; // closed again: nothing listens there now
+        let stream = connect_and_wait(&addr);
+        let err = stream.take_error().expect("SO_ERROR").expect("refused");
+        assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused, "{err}");
     }
 
     #[test]

@@ -5,6 +5,17 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# Every node of an in-process TCP cluster owns a connection to each peer,
+# so the 32-node reactor census holds about 2*32*31 = 1984 connected
+# sockets: above the common 1024 soft descriptor limit. Raise the soft
+# limit to 4096 where the hard limit allows it (never lower it).
+soft=$(ulimit -Sn)
+hard=$(ulimit -Hn)
+if [ "$soft" != unlimited ] && [ "$soft" -lt 4096 ] &&
+    { [ "$hard" = unlimited ] || [ "$hard" -ge 4096 ]; }; then
+    ulimit -Sn 4096
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
@@ -52,8 +63,9 @@ cargo run --release --quiet --example chaos_smoke
 echo "==> tcp pipeline: head-of-line regression + wire-codec fuzz"
 cargo test -q --test tcp_pipeline
 
-echo "==> reactor: 5- and 32-node TCP thread census + lost-wakeup stress"
-# A thread per connection or a wedged node loop fails here.
+echo "==> reactor: n node threads, no writers (5- and 32-node TCP, channel) + socket census + lost-wakeup stress"
+# A thread per connection or peer, a leaked socket, or a wedged node loop
+# fails here.
 cargo test -q --test reactor
 
 echo "==> tcp bench smoke: grant latency, healthy vs one peer dead"

@@ -1,14 +1,15 @@
 //! The node loop's single wait: each node thread polls its own inbox bell,
-//! listener and accepted connections, with no reader or accept threads.
+//! listener, accepted connections and outbound connections, with no
+//! reader, accept, writer or pump threads.
 //!
-//! The tests in this file share one process-wide thread census, so they
-//! run one at a time.
+//! The tests in this file share one process-wide thread and socket
+//! census, so they run one at a time.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use tokq::core::Cluster;
+use tokq::core::{Cluster, ClusterBuilder};
 use tokq::protocol::arbiter::ArbiterConfig;
 use tokq::protocol::types::TimeDelta;
 
@@ -22,8 +23,7 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
 
 /// Live threads of this process whose name starts with `tokq-`, counted by
 /// name with trailing digits dropped (`tokq-node-3` counts as
-/// `tokq-node-`). The kernel keeps the first 15 bytes of a name, so
-/// `tokq-tcp-write-12` reads as `tokq-tcp-write-`.
+/// `tokq-node-`).
 #[cfg(target_os = "linux")]
 fn tokq_threads() -> BTreeMap<String, usize> {
     let mut census = BTreeMap::new();
@@ -42,36 +42,109 @@ fn tokq_threads() -> BTreeMap<String, usize> {
     census
 }
 
-/// Locks once through every node of an `n`-node TCP cluster, then checks
-/// that it runs one node thread and one writer per node and nothing else.
+/// Socket inodes among this process's open descriptors.
 #[cfg(target_os = "linux")]
-fn census_after_locking_through_every_node(n: usize) {
-    let cluster = Cluster::builder(n).tcp().build();
+fn socket_inodes() -> BTreeSet<u64> {
+    let mut inodes = BTreeSet::new();
+    for fd in std::fs::read_dir("/proc/self/fd").expect("procfs") {
+        // A descriptor can close between the listing and the read.
+        let Ok(target) = std::fs::read_link(fd.expect("fd entry").path()) else {
+            continue;
+        };
+        let target = target.to_string_lossy();
+        if let Some(inode) = target
+            .strip_prefix("socket:[")
+            .and_then(|rest| rest.strip_suffix(']'))
+        {
+            inodes.insert(inode.parse().expect("socket inode"));
+        }
+    }
+    inodes
+}
+
+/// The local port and state (hex, as the kernel prints them) of every
+/// TCP socket among this process's open descriptors. Other sockets, such
+/// as descriptors the process inherited, are left out.
+#[cfg(target_os = "linux")]
+fn tcp_sockets() -> Vec<(String, String)> {
+    let ours = socket_inodes();
+    let mut sockets = Vec::new();
+    for table in ["/proc/self/net/tcp", "/proc/self/net/tcp6"] {
+        let Ok(text) = std::fs::read_to_string(table) else {
+            continue;
+        };
+        for line in text.lines().skip(1) {
+            let fields: Vec<&str> = line.split_whitespace().collect();
+            let inode: u64 = fields[9].parse().expect("inode column");
+            if ours.contains(&inode) {
+                let port = fields[1].rsplit(':').next().expect("local port");
+                sockets.push((port.to_owned(), fields[3].to_owned()));
+            }
+        }
+    }
+    sockets
+}
+
+/// This process's TCP connections that it opened itself: sockets that
+/// are not listening and whose local port is not a listener's port.
+#[cfg(target_os = "linux")]
+fn outbound_connections() -> usize {
+    const LISTEN: &str = "0A";
+    let sockets = tcp_sockets();
+    let listening: BTreeSet<&str> = sockets
+        .iter()
+        .filter(|(_, state)| state == LISTEN)
+        .map(|(port, _)| port.as_str())
+        .collect();
+    sockets
+        .iter()
+        .filter(|(port, state)| state != LISTEN && !listening.contains(port.as_str()))
+        .count()
+}
+
+/// Locks once through every node of a cluster of `n`, then checks that
+/// it runs one node thread per node and nothing else, and that shutdown
+/// joins them all.
+#[cfg(target_os = "linux")]
+fn census_after_locking_through_every_node(builder: ClusterBuilder, n: usize, what: &str) {
+    let cluster = builder.build();
     for node in 0..n {
         let guard = cluster
             .handle(node)
             .expect("in range")
             .try_lock_for(Duration::from_secs(20))
-            .unwrap_or_else(|e| panic!("{n}-node cluster: lock through node {node}: {e}"));
+            .unwrap_or_else(|e| panic!("{what}: lock through node {node}: {e}"));
         drop(guard);
     }
-    let expected = BTreeMap::from([
-        ("tokq-node-".to_owned(), n),
-        ("tokq-tcp-write-".to_owned(), n),
-    ]);
-    assert_eq!(tokq_threads(), expected, "{n}-node TCP cluster");
+    let expected = BTreeMap::from([("tokq-node-".to_owned(), n)]);
+    assert_eq!(tokq_threads(), expected, "{what}");
+    let outbound = outbound_connections();
+    assert!(
+        outbound <= n * (n - 1),
+        "{what}: {outbound} outbound connections, more than one per node pair and direction"
+    );
     let metrics = cluster.metrics_handle();
     cluster.shutdown();
     assert_eq!(metrics.cs_completed_total(), n as u64);
     assert!(tokq_threads().is_empty(), "shutdown joins every thread");
+    assert_eq!(tcp_sockets(), [], "{what}: shutdown closes every socket");
 }
 
 #[cfg(target_os = "linux")]
 #[test]
-fn tcp_clusters_run_one_thread_per_node_plus_writers() {
+fn tcp_clusters_run_one_thread_per_node() {
     let _serial = serial();
-    census_after_locking_through_every_node(5);
-    census_after_locking_through_every_node(32);
+    for n in [5, 32] {
+        let what = format!("{n}-node TCP cluster");
+        census_after_locking_through_every_node(Cluster::builder(n).tcp(), n, &what);
+    }
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn channel_clusters_run_one_thread_per_node() {
+    let _serial = serial();
+    census_after_locking_through_every_node(Cluster::builder(5), 5, "5-node channel cluster");
 }
 
 /// A lost wakeup strands a lock call in the inbox of a parked node until

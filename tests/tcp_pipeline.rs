@@ -1,32 +1,121 @@
-//! Regression coverage for the TCP send pipeline: `Wire::send` must never
-//! block — it writes into an established nonblocking socket or enqueues
-//! for the peer's writer thread, and never connects — so a dead,
-//! unreachable, or saturated peer cannot head-of-line-block traffic to
-//! the healthy majority. Frames written directly by the sending thread
-//! and frames routed through the writer must still arrive whole, once,
-//! and in per-link order, across saturation, partitions and reconnects.
-//! Also fuzzes the wire codec with corrupt frames (`decode` must fail
-//! cleanly, never panic, and never allocate more than the frame itself
-//! could hold).
+//! Regression coverage for the TCP send path: `Outbound::send` must never
+//! block — it writes into an established nonblocking socket or queues the
+//! frame for the node loop's poller, and never waits for a connect — so a
+//! dead, unreachable, or saturated peer cannot head-of-line-block traffic
+//! to the healthy majority. Frames must still arrive whole, once, and in
+//! per-link order, across saturation, partitions and reconnects. Also
+//! fuzzes the wire codec with corrupt frames (`decode` must fail cleanly,
+//! never panic, and never allocate more than the frame itself could
+//! hold).
+//!
+//! The send-path tests drive an `Outbound` with a `tokq_sys::Poller` the
+//! way a node loop does, from the test thread or from a helper thread
+//! while the test thread plays the peer.
 
 use std::io::{ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use tokq::core::tcp::{BackoffPolicy, TcpSender};
-use tokq::core::transport::{Envelope, Wire};
+use tokq::core::tcp::Outbound;
 use tokq::core::wire::WIRE_VERSION;
 use tokq::core::{decode, encode, Cluster, FaultPanel, ShardId, WireError};
 use tokq::obs::{Obs, Source};
 use tokq::protocol::arbiter::{ArbiterConfig, ArbiterMsg, RecoveryConfig, Token};
 use tokq::protocol::qlist::{Entry, QList};
 use tokq::protocol::types::{NodeId, Priority, SeqNum, TimeDelta};
+use tokq_sys::{Events, Poller};
+
+/// Node 1's send side, driven the way its node loop drives it: an
+/// [`Outbound`] and the poller its sockets are registered with.
+struct Sender {
+    out: Outbound,
+    poller: Poller,
+    events: Events,
+}
+
+impl Sender {
+    fn new(peers: Vec<SocketAddr>, obs: &Obs, panel: FaultPanel) -> Self {
+        Sender {
+            out: Outbound::new(NodeId(1), peers, obs, panel),
+            poller: Poller::new().expect("poller"),
+            events: Events::with_capacity(16),
+        }
+    }
+
+    fn plain(peers: Vec<SocketAddr>) -> Self {
+        let panel = FaultPanel::detached(peers.len().max(2));
+        Self::new(peers, &Obs::disabled(Source::Runtime), panel)
+    }
+
+    fn send(&mut self, to: u32, frame: Bytes) {
+        self.out.send(&self.poller, NodeId(to), frame);
+    }
+
+    /// One short wait on the poller, then every ready socket and every
+    /// deadline that passed.
+    fn pump_once(&mut self) {
+        let wait = self.out.resume_at().map_or(Duration::from_millis(5), |at| {
+            at.saturating_duration_since(Instant::now())
+                .min(Duration::from_millis(5))
+        });
+        self.poller
+            .wait(&mut self.events, Some(wait))
+            .expect("wait");
+        for token in self.events.tokens() {
+            self.out.ready(&self.poller, token);
+        }
+        if self.out.resume_at().is_some_and(|at| at <= Instant::now()) {
+            self.out.resume(&self.poller);
+        }
+    }
+
+    /// Pumps until `done` holds or `limit` passes; returns whether `done`
+    /// held.
+    fn pump_until(&mut self, limit: Duration, mut done: impl FnMut(&Outbound) -> bool) -> bool {
+        let deadline = Instant::now() + limit;
+        while !done(&self.out) {
+            if Instant::now() >= deadline {
+                return false;
+            }
+            self.pump_once();
+        }
+        true
+    }
+
+    /// Keeps pumping on a helper thread until [`Background::stop`].
+    fn in_background(mut self) -> Background {
+        let stop = Arc::new(AtomicBool::new(false));
+        let halt = Arc::clone(&stop);
+        let thread = std::thread::spawn(move || {
+            while !halt.load(Ordering::SeqCst) {
+                self.pump_once();
+            }
+            self
+        });
+        Background { stop, thread }
+    }
+}
+
+/// A [`Sender`] pumped by a helper thread.
+struct Background {
+    stop: Arc<AtomicBool>,
+    thread: std::thread::JoinHandle<Sender>,
+}
+
+impl Background {
+    fn stop(self) -> Sender {
+        self.stop.store(true, Ordering::SeqCst);
+        self.thread.join().expect("pump thread")
+    }
+}
 
 /// A listener that accepts nothing, with its kernel accept backlog
 /// pre-filled: further connection attempts neither succeed nor fail fast,
-/// which is exactly the peer state that used to stall `Wire::send` in a
+/// which is exactly the peer state that used to stall the send path in a
 /// 500 ms inline `connect_timeout` on the protocol thread.
 ///
 /// The parked streams (and the listener) must stay alive for the duration
@@ -59,33 +148,25 @@ fn frame_payloads(conn: &mut TcpStream, count: usize) -> Vec<Vec<u8>> {
     out
 }
 
-/// The head-of-line regression the writer pipeline exists to fix: with
-/// one peer a connect black hole, sends to it AND to a healthy peer must
-/// all return immediately (never connecting), and the healthy peer's frames
-/// must flow while the black-hole writer is stuck connecting. The old
-/// inline send path ran `connect_timeout` (500 ms) on the calling thread
-/// for the first black-hole frame, so the loop below took > 500 ms and
-/// this test failed.
+/// The head-of-line regression: with one peer a connect black hole,
+/// sends to it AND to a healthy peer must all return immediately (never
+/// waiting for a connect), and the healthy peer's frames must flow while
+/// the black-hole link is stuck connecting. A send path that connected
+/// inline ran `connect_timeout` (500 ms) on the calling thread for the
+/// first black-hole frame, so the loop below took > 500 ms and this test
+/// failed.
 #[test]
 fn send_path_never_blocks_on_a_black_hole_peer() {
     let (_bh_listener, _parked, bh_addr) = black_hole();
     let healthy_listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let healthy_addr = healthy_listener.local_addr().expect("addr");
-    let sender = TcpSender::new(vec![healthy_addr, bh_addr]);
+    let mut sender = Sender::plain(vec![healthy_addr, bh_addr]);
 
     let started = Instant::now();
     for i in 0..20u8 {
-        // Black hole first: the old code stalled right here.
-        sender.send(Envelope {
-            from: NodeId(0),
-            to: NodeId(1),
-            frame: Bytes::copy_from_slice(&[b'b', i]),
-        });
-        sender.send(Envelope {
-            from: NodeId(0),
-            to: NodeId(0),
-            frame: Bytes::copy_from_slice(&[b'h', i]),
-        });
+        // Black hole first: an inline connect stalled right here.
+        sender.send(1, Bytes::copy_from_slice(&[b'b', i]));
+        sender.send(0, Bytes::copy_from_slice(&[b'h', i]));
     }
     let elapsed = started.elapsed();
     assert!(
@@ -94,29 +175,27 @@ fn send_path_never_blocks_on_a_black_hole_peer() {
     );
 
     // The healthy link is unaffected: all 20 frames arrive, in order.
+    let pump = sender.in_background();
     let (mut conn, _) = healthy_listener.accept().expect("healthy accept");
     let payloads = frame_payloads(&mut conn, 20);
     for (i, p) in payloads.iter().enumerate() {
         assert_eq!(p.as_slice(), &[b'h', i as u8], "healthy frames in order");
     }
-    // The black-hole frames are parked (queued or in-flight), not lost.
-    assert!(
-        sender.pending_frames() >= 1,
+    // The black-hole frames are still queued for a retry, not lost.
+    let sender = pump.stop();
+    assert_eq!(
+        sender.out.pending_frames(),
+        20,
         "black-hole frames should be pending retry"
     );
-    sender.shutdown();
 }
 
-/// An envelope from `from` to node 0 carrying `seq` in its first four
-/// bytes, padded to `len` bytes.
-fn numbered(from: u32, seq: u32, len: usize) -> Envelope {
+/// A frame from node 1 carrying `seq` in its first four bytes, padded to
+/// `len` bytes.
+fn numbered(seq: u32, len: usize) -> Bytes {
     let mut payload = vec![0u8; len.max(4)];
     payload[..4].copy_from_slice(&seq.to_be_bytes());
-    Envelope {
-        from: NodeId(from),
-        to: NodeId(0),
-        frame: Bytes::from(payload),
-    }
+    Bytes::from(payload)
 }
 
 fn seq_of(payload: &[u8]) -> u32 {
@@ -151,48 +230,46 @@ fn counter(obs: &Obs, name: &str) -> u64 {
 }
 
 /// A peer that accepts the connection but does not read: the socket
-/// buffers fill, direct writes come up short and leave tails for the
-/// writer, and the writer's stalled writes time out and reconnect. Every
-/// `send` must still return promptly, and once the peer reads, every
-/// frame arrives whole, at most once and in order; the only frames
-/// missing are those the bounded outbox abandoned.
+/// buffers fill, writes come up short and the link waits for writability,
+/// and after the stall limit the connection drops and the link
+/// reconnects. Every `send` must still return promptly, and once the
+/// peer reads, every frame arrives whole, at most once and in order; the
+/// only frames missing are those the bounded queue abandoned.
 #[test]
 fn saturated_peer_never_blocks_send_and_delivers_every_kept_frame_whole() {
     const FRAMES: u32 = 4_000;
     const FRAME_LEN: usize = 1_536;
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let obs = Obs::disabled(Source::Runtime);
-    let sender = TcpSender::with_obs(vec![listener.local_addr().expect("addr")], &obs);
+    let panel = FaultPanel::detached(2);
+    let mut sender = Sender::new(vec![listener.local_addr().expect("addr")], &obs, panel);
 
-    sender.send(numbered(1, 0, FRAME_LEN)); // the writer connects
+    sender.send(0, numbered(0, FRAME_LEN)); // the link connects
     let (mut conn, _) = listener.accept().expect("accept");
-    // Once the first frame is out the link is idle, so the next sends
-    // take the direct path until the socket buffer fills.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while sender.pending_frames() > 0 {
-        assert!(Instant::now() < deadline, "first frame never flushed");
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    assert!(
+        sender.pump_until(Duration::from_secs(10), |out| out.pending_frames() == 0),
+        "first frame never flushed"
+    );
     let mut slowest = Duration::ZERO;
     for seq in 1..FRAMES {
         let started = Instant::now();
-        sender.send(numbered(1, seq, FRAME_LEN));
+        sender.send(0, numbered(seq, FRAME_LEN));
         slowest = slowest.max(started.elapsed());
     }
     assert!(
         slowest < Duration::from_millis(50),
         "a send into a saturated peer took {slowest:?}"
     );
-    if sender.pending_frames() > 0 {
-        // The buffers filled: let the writer's stalled write time out and
-        // reconnect, so frames cut short on the first connection must be
-        // resent whole on the next.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while counter(&obs, "tcp_connects") < 2 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(10));
-        }
+    if sender.out.pending_frames() > 0 {
+        // The buffers filled: let the stalled connection time out and the
+        // link reconnect, so frames cut short on the first connection must
+        // be resent whole on the next.
+        sender.pump_until(Duration::from_secs(10), |_| {
+            counter(&obs, "tcp_connects") >= 2
+        });
     }
 
+    let pump = sender.in_background();
     conn.set_read_timeout(Some(Duration::from_secs(10)))
         .expect("set timeout");
     let mut received = 0u64;
@@ -212,7 +289,7 @@ fn saturated_peer_never_blocks_send_and_delivers_every_kept_frame_whole() {
                 received += 1;
             }
             None => {
-                // The writer gave up on this connection; its frames
+                // The link gave up on this connection; its frames
                 // continue on the next one.
                 (conn, _) = listener.accept().expect("accept the reconnect");
                 conn.set_read_timeout(Some(Duration::from_secs(10)))
@@ -224,87 +301,87 @@ fn saturated_peer_never_blocks_send_and_delivers_every_kept_frame_whole() {
         received + counter(&obs, "tcp_frames_abandoned"),
         u64::from(FRAMES)
     );
-    assert_eq!(sender.pending_frames(), 0);
-    sender.shutdown();
+    let mut sender = pump.stop();
+    assert!(sender.pump_until(Duration::from_secs(5), |out| out.pending_frames() == 0));
 }
 
 /// On a healthy, connected link every send after the first (connecting)
-/// one is written straight into the socket by the sending thread.
+/// one writes its frame straight into the socket: nothing waits in the
+/// queue, and each frame is one write.
 #[test]
 fn healthy_link_sends_are_direct_writes_in_order() {
     const N: u32 = 200;
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let obs = Obs::disabled(Source::Runtime);
-    let sender = TcpSender::with_obs(vec![listener.local_addr().expect("addr")], &obs);
-    sender.send(numbered(1, 0, 16));
+    let panel = FaultPanel::detached(2);
+    let mut sender = Sender::new(vec![listener.local_addr().expect("addr")], &obs, panel);
+    sender.send(0, numbered(0, 16));
     let (mut conn, _) = listener.accept().expect("accept");
     conn.set_read_timeout(Some(Duration::from_secs(10)))
         .expect("set timeout");
-    let mut next = 0u32;
-    // Warm up until one send goes direct. The writer is idle from then
-    // on: it takes the connection lock only with frames pending, and a
-    // direct write leaves none.
-    while counter(&obs, "tcp_direct_writes") == 0 {
-        let payload = next_payload(&mut conn).expect("warm-up frame");
-        assert_eq!(seq_of(&payload), next);
-        next += 1;
-        assert!(next < 100, "no send took the direct path");
-        sender.send(numbered(1, next, 16));
+    assert!(sender.pump_until(Duration::from_secs(10), |out| out.pending_frames() == 0));
+    assert_eq!(next_payload(&mut conn).map(|p| seq_of(&p)), Some(0));
+    let requeued = counter(&obs, "tcp_frames_requeued");
+    let writes = obs
+        .registry()
+        .histogram("tcp_frames_per_flush")
+        .summary()
+        .count;
+    for seq in 1..=N {
+        sender.send(0, numbered(seq, 16));
+        assert_eq!(sender.out.pending_frames(), 0, "frame {seq} had to wait");
     }
-    next += 1; // the direct frame is read below, in order
-    let base = counter(&obs, "tcp_direct_writes");
-    for seq in next..next + N {
-        sender.send(numbered(1, seq, 16));
-    }
-    assert_eq!(counter(&obs, "tcp_direct_writes") - base, u64::from(N));
-    for seq in next - 1..next + N {
+    assert_eq!(counter(&obs, "tcp_frames_requeued"), requeued);
+    let per_flush = obs.registry().histogram("tcp_frames_per_flush").summary();
+    assert_eq!(
+        per_flush.count - writes,
+        u64::from(N),
+        "one write per frame"
+    );
+    for seq in 1..=N {
         let payload = next_payload(&mut conn).expect("frame");
         assert_eq!(seq_of(&payload), seq);
     }
-    sender.shutdown();
 }
 
-/// Blocking a connected link diverts its frames from the direct path into
-/// the outbox; frames sent before, during and after the block still
-/// arrive in send order once the link heals.
+/// Blocking a connected link parks its frames; frames sent before, during
+/// and after the block still arrive in send order once the link heals.
 #[test]
 fn blocking_a_connected_link_keeps_send_order_across_heal() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
     let obs = Obs::disabled(Source::Runtime);
     let panel = FaultPanel::detached(2);
-    let sender = TcpSender::with_panel(
-        vec![addr, addr],
-        &obs,
-        panel.clone(),
-        BackoffPolicy::default(),
-    );
-    sender.send(numbered(1, 0, 16));
+    let mut sender = Sender::new(vec![addr, addr], &obs, panel.clone());
+    sender.send(0, numbered(0, 16));
     let (mut conn, _) = listener.accept().expect("accept");
     conn.set_read_timeout(Some(Duration::from_secs(10)))
         .expect("set timeout");
+    assert!(sender.pump_until(Duration::from_secs(10), |out| out.pending_frames() == 0));
     assert_eq!(next_payload(&mut conn).map(|p| seq_of(&p)), Some(0));
     let mut seq = 1;
     for _ in 0..20 {
-        sender.send(numbered(1, seq, 16)); // before the block
+        sender.send(0, numbered(seq, 16)); // before the block
         seq += 1;
     }
     panel.block(1, 0);
     for _ in 0..20 {
-        sender.send(numbered(1, seq, 16)); // held in the outbox
+        sender.send(0, numbered(seq, 16)); // parked behind the block
         seq += 1;
     }
-    assert!(sender.pending_frames() >= 20, "blocked frames must wait");
+    assert_eq!(sender.out.pending_frames(), 20, "blocked frames must wait");
     panel.heal();
     for _ in 0..20 {
-        sender.send(numbered(1, seq, 16)); // after the heal
+        // After the heal, before the node loop hears of it.
+        sender.send(0, numbered(seq, 16));
         seq += 1;
     }
+    sender.out.resume(&sender.poller);
+    assert!(sender.pump_until(Duration::from_secs(10), |out| out.pending_frames() == 0));
     for expected in 1..seq {
         let payload = next_payload(&mut conn).expect("frame");
         assert_eq!(seq_of(&payload), expected, "send order broken");
     }
-    sender.shutdown();
 }
 
 fn quick_ft() -> ArbiterConfig {
