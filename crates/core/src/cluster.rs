@@ -12,7 +12,6 @@ use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, RecvTimeoutError};
 use tokq_obs::sink::JsonlWriter;
 use tokq_obs::{FlightRecorder, Level, Obs, Source};
 use tokq_protocol::api::ProtocolFactory;
@@ -22,15 +21,19 @@ use tokq_protocol::types::NodeId;
 use crate::fault::FaultPanel;
 use crate::inbox::{inbox, InboxTx};
 use crate::metrics::ClusterMetrics;
-use crate::node::{GrantReply, NodeEvent, NodeLoop, NodeNet};
+use crate::node::{Node, NodeEvent, NodeNet};
 use crate::service::{FaultError, LockError, ResourceId, ShardId};
 use crate::transport::{ChannelTransport, NetOptions};
 
-/// How long [`ResourceHandle::try_lock`] waits for the local fast path.
+/// How long [`ResourceHandle::try_lock`] waits for a grant the node
+/// cannot make on the spot.
 ///
-/// A truly zero-wait try-lock is meaningless here: even an uncontended
-/// grant crosses a channel to the node thread and back, so `try_lock`
-/// allows this short grace before reporting [`LockError::Timeout`].
+/// A call the node can grant at once — its arbiter holds the idle token
+/// and has no collection window to wait out — is granted inside the call
+/// and never waits. Any other grant takes at least a collection window or
+/// a message round trip to the arbiter, so `try_lock` allows this short
+/// grace, enough for a round trip on a loaded host, before reporting
+/// [`LockError::Timeout`].
 const TRY_LOCK_GRACE: Duration = Duration::from_millis(5);
 
 /// Builder for a [`Cluster`].
@@ -144,7 +147,7 @@ impl ClusterBuilder {
         let mut node_txs = Vec::with_capacity(self.n);
         let mut node_rxs = Vec::with_capacity(self.n);
         for _ in 0..self.n {
-            let (tx, rx) = inbox().expect("create node inbox eventfd");
+            let (tx, rx) = inbox(metrics.bell_ring_counter()).expect("create node inbox eventfd");
             node_txs.push(tx);
             node_rxs.push(rx);
         }
@@ -186,23 +189,29 @@ impl ClusterBuilder {
             nets.resize_with(self.n, || NodeNet::Channel(Arc::clone(&transport)));
         }
 
+        let mut nodes = Vec::with_capacity(self.n);
         let mut threads = Vec::with_capacity(self.n);
         for (i, (rx, net)) in node_rxs.into_iter().zip(nets).enumerate() {
             let id = NodeId::from_index(i);
             let protocols = (0..self.shards)
                 .map(|s| self.config.build_shard(id, self.n, s))
                 .collect();
-            let node_loop = NodeLoop::new(protocols, rx, net, Arc::clone(&metrics))
-                .expect("set up the node's epoll instance");
+            let node = Arc::new(
+                Node::new(protocols, rx, net, Arc::clone(&metrics))
+                    .expect("set up the node's epoll instance"),
+            );
+            let runner = Arc::clone(&node);
             let h = std::thread::Builder::new()
                 .name(format!("tokq-node-{i}"))
-                .spawn(move || node_loop.run())
+                .spawn(move || runner.run())
                 .expect("spawn node thread");
+            nodes.push(node);
             threads.push(h);
         }
         Cluster {
             n: self.n,
             shards: self.shards,
+            nodes,
             node_txs,
             threads,
             tcp: self.tcp,
@@ -214,8 +223,10 @@ impl ClusterBuilder {
 
 /// A running in-process cluster of arbiter-mutex nodes.
 ///
-/// Each node runs on its own thread and hosts one protocol instance per
-/// shard; messages travel as shard-tagged frames through a (optionally
+/// Each node has its own thread and hosts one protocol instance per
+/// shard; lock calls and guard drops step the node on the calling
+/// thread, and the node thread serves its sockets, timers and control
+/// events. Messages travel as shard-tagged frames through a (optionally
 /// delayed and lossy) channel transport or a loopback TCP mesh. The
 /// cluster is the distributed-systems equivalent of a `Mutex` keyed by
 /// resource name: obtain [`ResourceHandle`]s via [`Cluster::resource`]
@@ -223,8 +234,10 @@ impl ClusterBuilder {
 pub struct Cluster {
     n: usize,
     shards: u16,
-    /// Each node's inbox. Kept after shutdown: a node loop closes its
-    /// inbox on exit, so later posts fail with `ShuttingDown`.
+    /// Every node, by id: handles lock through these.
+    nodes: Vec<Arc<Node>>,
+    /// Each node's inbox. Kept after shutdown: a node closes its inbox
+    /// when it shuts down, so later posts fail with `ShuttingDown`.
     node_txs: Vec<InboxTx>,
     threads: Vec<std::thread::JoinHandle<()>>,
     tcp: bool,
@@ -316,7 +329,7 @@ impl Cluster {
             resource,
             shard,
             node: NodeId::from_index(node),
-            tx: self.node_txs[node].clone(),
+            via: Arc::clone(&self.nodes[node]),
         }
     }
 
@@ -339,7 +352,7 @@ impl Cluster {
                 resource: ResourceId::new("__mutex"),
                 shard: ShardId(0),
                 node: NodeId::from_index(node),
-                tx: self.node_txs[node].clone(),
+                via: Arc::clone(&self.nodes[node]),
             },
         })
     }
@@ -447,9 +460,10 @@ impl Cluster {
         for tx in &self.node_txs {
             let _ = tx.send(NodeEvent::Shutdown);
         }
-        // Each loop exits on its Shutdown, closing its inbox and sockets.
-        // The last one to exit drops the channel transport, joining its
-        // network thread if it has one.
+        // Each node shuts down on its Shutdown, closing its inbox and
+        // sockets and failing its queued lock calls, and its thread
+        // exits. The last node to shut down drops the channel transport,
+        // joining its network thread if it has one.
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -472,7 +486,7 @@ pub struct ResourceHandle {
     resource: ResourceId,
     shard: ShardId,
     node: NodeId,
-    tx: InboxTx,
+    via: Arc<Node>,
 }
 
 impl ResourceHandle {
@@ -494,6 +508,11 @@ impl ResourceHandle {
     /// Blocks until the resource's lock is granted, returning an RAII
     /// guard that releases on drop.
     ///
+    /// The request runs on the calling thread: when the node can grant
+    /// it at once (its arbiter holds the idle token and collects for no
+    /// window), the call returns the guard without blocking or waking any
+    /// other thread.
+    ///
     /// # Errors
     ///
     /// [`LockError::NodeDown`] if the node is crashed,
@@ -503,10 +522,10 @@ impl ResourceHandle {
         self.request(None)
     }
 
-    /// Attempts the lock without queueing behind a long wait: gives the
-    /// grant a short grace (a few milliseconds — the request must cross
-    /// to the node thread and back even when uncontended) and reports
-    /// [`LockError::Timeout`] if it does not arrive.
+    /// Attempts the lock without queueing behind a long wait. A grant the
+    /// node makes on the spot returns at once; any other gets a short
+    /// grace (a few milliseconds, for a collection window or a round
+    /// trip to the arbiter) before [`LockError::Timeout`].
     ///
     /// # Errors
     ///
@@ -528,23 +547,9 @@ impl ResourceHandle {
     }
 
     fn request(&self, timeout: Option<Duration>) -> Result<LockGuard, LockError> {
-        let (grant_tx, grant_rx) = bounded::<GrantReply>(1);
-        self.tx
-            .send(NodeEvent::Acquire {
-                shard: self.shard,
-                grant: grant_tx,
-            })
-            .map_err(|_| LockError::ShuttingDown)?;
-        let reply = match timeout {
-            None | Some(Duration::MAX) => grant_rx.recv().map_err(|_| LockError::ShuttingDown)?,
-            Some(d) => grant_rx.recv_timeout(d).map_err(|e| match e {
-                RecvTimeoutError::Timeout => LockError::Timeout,
-                RecvTimeoutError::Disconnected => LockError::ShuttingDown,
-            })?,
-        };
-        let gen = reply?;
+        let gen = self.via.acquire(self.shard, timeout)?;
         Ok(LockGuard {
-            tx: self.tx.clone(),
+            via: Arc::clone(&self.via),
             shard: self.shard,
             gen,
         })
@@ -601,11 +606,12 @@ impl MutexHandle {
 /// Guards are generation-tagged per shard: if the granting node crashes
 /// while the guard is held, the eventual release is recognized as stale
 /// and ignored instead of ending a post-recovery critical section. Guards
-/// are deliberately not `Clone` — exactly one release per grant.
+/// are deliberately not `Clone` — exactly one release per grant. The
+/// release runs on the dropping thread.
 #[derive(Debug)]
 #[must_use = "dropping the guard immediately releases the lock"]
 pub struct LockGuard {
-    tx: InboxTx,
+    via: Arc<Node>,
     shard: ShardId,
     gen: u64,
 }
@@ -619,10 +625,7 @@ impl LockGuard {
 
 impl Drop for LockGuard {
     fn drop(&mut self) {
-        let _ = self.tx.send(NodeEvent::Release {
-            shard: self.shard,
-            gen: self.gen,
-        });
+        self.via.release(self.shard, self.gen);
     }
 }
 
@@ -640,7 +643,7 @@ mod tests {
             let g = h.lock().expect("granted");
             drop(g);
         }
-        // Shutdown joins the node threads, so all releases are processed.
+        // Releases run on the dropping thread, before shutdown.
         cluster.shutdown();
         assert_eq!(metrics.cs_completed_total(), 3);
     }

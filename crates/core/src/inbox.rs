@@ -1,13 +1,15 @@
-//! A node's inbox: the queue of [`NodeEvent`]s its event loop drains,
-//! with a bell that rings the loop's poller only while the loop is
-//! parked.
+//! A node's inbox: the queue of [`NodeEvent`]s its node drains, with a
+//! bell that rings the node thread's poller only while it is parked.
 //!
-//! Lock calls, guard drops, crash/recover/shutdown and the channel
-//! transport's pumps all post here. A post is one short critical section
-//! on the queue. It rings the bell (one eventfd write) only if the loop
-//! has published that it is parking, and then only once per parking: a
-//! busy loop is never woken, because it drains the queue before it parks
-//! again.
+//! Crash/recover/shutdown, fault-panel transitions and the channel
+//! transport's frames post here; lock calls do not (they run on the
+//! calling thread). A post is one short critical section on the queue.
+//! It rings the bell (one eventfd write) only if the loop has published
+//! that it is parking, and then only once per parking: a busy loop is
+//! never woken, because it drains the queue before it parks again. The
+//! queue is drained by whichever thread holds the node's core, the node
+//! thread or a lock caller, so events keep their order relative to the
+//! lock calls that follow them.
 //!
 //! The park protocol closes the lost-wakeup window. [`InboxRx::park`]
 //! checks the queue and sets `parked` under the queue's lock, so a post
@@ -20,6 +22,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use tokq_obs::Counter;
 use tokq_sys::Waker;
 
 use crate::node::NodeEvent;
@@ -38,6 +41,17 @@ struct Shared {
     /// first post that rings.
     parked: AtomicBool,
     bell: Waker,
+    /// Every write to the bell, by posts and by [`InboxRx::ring`].
+    rings: Counter,
+}
+
+impl Shared {
+    fn ring(&self) {
+        self.rings.inc();
+        // Only EAGAIN at a saturated counter can fail, and then the
+        // eventfd is already readable.
+        let _ = self.bell.wake();
+    }
 }
 
 /// The posting side of a node's inbox. Clone freely.
@@ -52,15 +66,15 @@ impl std::fmt::Debug for InboxTx {
     }
 }
 
-/// The draining side, owned by the node loop. Dropping it closes the
-/// inbox and drops every queued event, so callers blocked on a grant see
-/// their channel disconnect.
+/// The draining side, owned by the node's core. Closing it (or dropping
+/// it) drops every queued event and makes later posts fail.
 pub(crate) struct InboxRx {
     shared: Arc<Shared>,
 }
 
-/// A new inbox whose bell is a fresh eventfd.
-pub(crate) fn inbox() -> io::Result<(InboxTx, InboxRx)> {
+/// A new inbox whose bell is a fresh eventfd, counting every ring in
+/// `rings`.
+pub(crate) fn inbox(rings: Counter) -> io::Result<(InboxTx, InboxRx)> {
     let shared = Arc::new(Shared {
         queue: Mutex::new(Queue {
             events: VecDeque::new(),
@@ -68,6 +82,7 @@ pub(crate) fn inbox() -> io::Result<(InboxTx, InboxRx)> {
         }),
         parked: AtomicBool::new(false),
         bell: Waker::new()?,
+        rings,
     });
     Ok((
         InboxTx {
@@ -93,9 +108,7 @@ impl InboxTx {
         // one post per parking pay for the write.
         let parked = &self.shared.parked;
         if parked.load(Ordering::Relaxed) && parked.swap(false, Ordering::Relaxed) {
-            // Only EAGAIN at a saturated counter can fail, and then the
-            // eventfd is already readable.
-            let _ = self.shared.bell.wake();
+            self.shared.ring();
         }
         Ok(())
     }
@@ -130,17 +143,27 @@ impl InboxRx {
     pub(crate) fn unpark(&self) {
         self.shared.parked.store(false, Ordering::Relaxed);
     }
-}
 
-impl Drop for InboxRx {
-    fn drop(&mut self) {
+    /// Rings the bell whether or not a post would: a thread other than
+    /// the node thread changed what the parked loop waits for.
+    pub(crate) fn ring(&self) {
+        self.shared.ring();
+    }
+
+    /// Closes the inbox: queued events are dropped and later posts fail.
+    pub(crate) fn close(&self) {
         let dropped = {
             let mut q = self.shared.queue.lock();
             q.closed = true;
             std::mem::take(&mut q.events)
         };
-        // Outside the lock: dropping an Acquire drops its grant sender.
         drop(dropped);
+    }
+}
+
+impl Drop for InboxRx {
+    fn drop(&mut self) {
+        self.close();
     }
 }
 
@@ -152,7 +175,8 @@ mod tests {
 
     #[test]
     fn posts_ring_only_a_parked_loop_and_only_once() {
-        let (tx, rx) = inbox().expect("eventfd");
+        let rings = Counter::detached();
+        let (tx, rx) = inbox(rings.clone()).expect("eventfd");
         let poller = Poller::new().expect("poller");
         poller
             .register(rx.bell(), 0, Interest::READABLE.edge())
@@ -190,19 +214,25 @@ mod tests {
         );
         rx.take(&mut out, 1);
         assert_eq!(out.len(), 2, "take honours its bound");
+        assert_eq!(rings.get(), 1);
+        rx.ring();
+        assert_eq!(rings.get(), 2, "an explicit ring counts too");
+        assert_eq!(
+            poller
+                .wait(&mut events, Some(Duration::ZERO))
+                .expect("poll"),
+            1
+        );
     }
 
     #[test]
-    fn dropping_the_loop_side_closes_the_inbox() {
-        let (tx, rx) = inbox().expect("eventfd");
-        let (grant, granted) = crossbeam::channel::bounded(1);
-        tx.send(NodeEvent::Acquire {
-            shard: crate::service::ShardId(0),
-            grant,
-        })
-        .expect("open");
-        drop(rx);
+    fn closing_the_loop_side_drops_queued_events_and_refuses_posts() {
+        let (tx, rx) = inbox(Counter::detached()).expect("eventfd");
+        tx.send(NodeEvent::Crash).expect("open");
+        rx.close();
         assert!(tx.send(NodeEvent::Shutdown).is_err());
-        assert!(granted.recv().is_err(), "queued grant sender dropped");
+        let mut out = VecDeque::new();
+        rx.take(&mut out, 16);
+        assert!(out.is_empty(), "queued events dropped");
     }
 }

@@ -66,7 +66,7 @@ impl ShardCounters {
     }
 }
 
-/// Cluster-wide counters, shared by all node threads.
+/// Cluster-wide counters, shared by every node.
 #[derive(Debug)]
 pub struct ClusterMetrics {
     obs: Obs,
@@ -74,6 +74,7 @@ pub struct ClusterMetrics {
     cs_completed: Counter,
     cs_requests: Counter,
     cs_rerequests: Counter,
+    bell_rings: Counter,
     // TCP send-path counters. The registry interns metrics by name, so
     // these are the same atomics every node's outbound links record into.
     tcp_reconnects: Counter,
@@ -108,6 +109,7 @@ impl ClusterMetrics {
         let cs_completed = obs.registry().counter("cs_completed");
         let cs_requests = obs.registry().counter("cs_requests");
         let cs_rerequests = obs.registry().counter("cs_rerequests");
+        let bell_rings = obs.registry().counter("bell_rings");
         let tcp_reconnects = obs.registry().counter("tcp_reconnects");
         let tcp_frames_requeued = obs.registry().counter("tcp_frames_requeued");
         let tcp_frames_abandoned = obs.registry().counter("tcp_frames_abandoned");
@@ -120,6 +122,7 @@ impl ClusterMetrics {
             cs_completed,
             cs_requests,
             cs_rerequests,
+            bell_rings,
             tcp_reconnects,
             tcp_frames_requeued,
             tcp_frames_abandoned,
@@ -192,6 +195,19 @@ impl ClusterMetrics {
         self.cs_rerequests.get()
     }
 
+    /// Times a node's bell was rung to wake its parked thread, over every
+    /// node: by a posted control event or channel frame, or by a lock
+    /// call that left the node with an earlier deadline than the one the
+    /// thread waits for. An uncontended lock cycle rings nothing.
+    pub fn bell_rings(&self) -> u64 {
+        self.bell_rings.get()
+    }
+
+    /// The counter behind [`ClusterMetrics::bell_rings`].
+    pub(crate) fn bell_ring_counter(&self) -> Counter {
+        self.bell_rings.clone()
+    }
+
     /// TCP reconnects: connection establishments after a previous failure
     /// or disconnect (zero on the channel transport).
     pub fn reconnects(&self) -> u64 {
@@ -225,7 +241,7 @@ impl ClusterMetrics {
         self.tcp_frames_per_flush.summary()
     }
 
-    /// Distribution of nanoseconds a node thread spends in
+    /// Distribution of nanoseconds a node's thread or lock caller spends in
     /// [`crate::tcp::Outbound::send`] on the TCP transport: the
     /// nonblocking `write` on a healthy link, the enqueue otherwise. It
     /// never waits for a peer, so it must not grow when a peer dies.

@@ -1,26 +1,43 @@
-//! The per-node event loop: drives one [`ArbiterNode`] state machine *per
-//! shard* with real messages, real timers, and application lock requests.
+//! A node of the runtime: one [`ArbiterNode`] state machine *per shard*,
+//! driven with real messages, real timers and application lock calls.
 //!
-//! A node owns `K` independent protocol instances (shards) but a single
-//! inbox, a single thread, and a single transport. The thread waits in
-//! exactly one place: its [`Poller`], until the earliest pending timer
-//! deadline. The poller watches the inbox's bell (an edge-triggered
-//! eventfd that posts ring only while the loop is parked) and, on the TCP
-//! transport, every socket of the node: its listener, the connections it
-//! accepted, and its own outbound connection to each peer, whose frames
-//! it writes itself. Frames read in a wakeup and the inbox events taken
-//! with them are bucketed by shard and dispatched in one pass, so a burst
-//! of traffic on one shard is amortized into one pass instead of `K`
-//! interleaved context switches; control events (crash/recover/shutdown)
-//! act as batch barriers because they affect every shard at once.
+//! A node's mutable state — its shards and their waiters, its timers, its
+//! transport and its metric handles — lives in one [`NodeCore`] behind a
+//! mutex, and two kinds of thread drive it:
+//!
+//! * **Lock callers.** [`Node::acquire`] and [`Node::release`] lock the
+//!   core and step `RequestCs` / `CsDone` on the calling thread, executing
+//!   what the step asks for themselves: frames go into the node's sockets
+//!   (or peers' inboxes) from the calling thread. On a shard no other node
+//!   has wanted for [`QUIET`], the caller also fires the timers that fell
+//!   due, so with no collection window the seal and the grant happen
+//!   inside the call and a caller granted its own request returns without
+//!   blocking. A caller whose grant needs anything else waits on its
+//!   thread's [`GrantSlot`], and whichever thread steps the grant writes
+//!   it there.
+//! * **The node thread.** It waits in exactly one place, its [`Poller`],
+//!   until the earliest pending deadline. The poller watches the inbox's
+//!   bell (an edge-triggered eventfd) and, on the TCP transport, every
+//!   socket of the node: its listener, the connections it accepted, and
+//!   its own outbound connection to each peer. It reads frames, fires
+//!   timers and handles control events (crash, recover, shutdown, fault
+//!   transitions); on the channel transport frames arrive in the inbox.
+//!
+//! Before a lock call steps its request it serves what already reached
+//! the node — ready sockets, with a zero-timeout wait on the same poller,
+//! and queued inbox events — so a REQUEST or a crash that arrived first is
+//! handled before the call's seal. A caller leaving the core rings the
+//! bell only if it left the node with a deadline earlier than the one the
+//! parked node thread waits for (or shut the node down): an uncontended
+//! lock cycle wakes nobody.
 
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::Arc;
-use std::time::Instant;
+use std::sync::{Arc, Condvar, PoisonError};
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::Sender;
+use parking_lot::Mutex;
 use tokq_obs::{span, Counter, Event, Histogram, Level, Obs, SpanGuard};
 use tokq_protocol::api::Protocol;
 use tokq_protocol::arbiter::{ArbiterMsg, ArbiterNode, ArbiterTimer};
@@ -43,9 +60,6 @@ const T_NODE: &str = "node";
 /// Trace target for per-message wire traffic.
 const T_NET: &str = "net";
 
-/// How many inbox events one drain pass may swallow before dispatching.
-const BATCH: usize = 128;
-
 /// Poller token of the inbox bell; [`Inbound`] owns the tokens above it,
 /// up to [`Outbound::FIRST_TOKEN`].
 const BELL: u64 = 0;
@@ -53,38 +67,27 @@ const BELL: u64 = 0;
 /// Ready descriptors taken per poller wait; more stay ready for the next.
 const POLL_EVENTS: usize = 64;
 
-/// Passes in a row that may find inbox work, and so skip the poller,
-/// before one looks at the sockets anyway: a busy inbox cannot starve
-/// the network.
-const POLL_EVERY: u32 = 8;
+/// How long a shard must go without a request received or the token
+/// sent or received before lock callers fire its due timers themselves.
+/// A caller that seals and grants inline never blocks, so on a busy CPU
+/// it can keep the CPU for whole scheduler slices (milliseconds) while a
+/// contending node's client, preempted between its PRIVILEGE and its next
+/// REQUEST, waits to run; this quiet period outlasts such a wait. Until
+/// it passes, the node thread fires the shard's timers, so a contended
+/// grant costs its caller a wait and the contender gets the CPU.
+const QUIET: Duration = Duration::from_millis(20);
 
-/// What an [`NodeEvent::Acquire`] waiter eventually hears back: the CS
-/// generation of its grant, or a typed refusal.
+/// What a lock call eventually hears back: the CS generation of its
+/// grant, or a typed refusal.
 pub(crate) type GrantReply = Result<u64, LockError>;
 
-/// Events consumed by a node thread.
+/// Events posted to a node's inbox: control events, and frames of the
+/// channel transport.
 #[derive(Debug)]
 pub(crate) enum NodeEvent {
     /// An encoded protocol frame arrived. The owning shard rides inside
     /// the frame header and is recovered at decode time.
     Wire { from: NodeId, frame: Bytes },
-    /// An application thread wants the lock on `shard`; the sender
-    /// receives the grant's CS generation when the critical section is
-    /// granted, or a [`LockError`] if it never can be.
-    Acquire {
-        shard: ShardId,
-        grant: Sender<GrantReply>,
-    },
-    /// The guard was dropped: the critical section on `shard` is over.
-    /// Carries the generation the guard was granted under, so a stale
-    /// guard from before a crash cannot release somebody else's critical
-    /// section.
-    Release {
-        /// Shard the releasing guard belongs to.
-        shard: ShardId,
-        /// CS generation the releasing guard was granted under.
-        gen: u64,
-    },
     /// The cluster's fault panel changed: retry the links whose frames
     /// wait behind a blocked link.
     LinksChanged,
@@ -92,26 +95,83 @@ pub(crate) enum NodeEvent {
     Crash,
     /// Restart after a crash.
     Recover,
-    /// Terminate the event loop.
+    /// Stop the node: its thread exits and later lock calls fail.
     Shutdown,
 }
 
-impl NodeEvent {
-    /// Control events touch every shard at once and therefore act as
-    /// batch barriers in the drain loop.
-    fn is_control(&self) -> bool {
-        matches!(
-            self,
-            NodeEvent::Crash | NodeEvent::Recover | NodeEvent::Shutdown
-        )
+/// Where a lock call waits for its reply. Each thread owns one and reuses
+/// it for every call it makes. A waiter entry holds the slot from the
+/// moment the call queues until a reply is written into it or the call
+/// withdraws the entry on timeout, both under the core lock, so a slot is
+/// in at most one queue at a time and a late grant can never land in a
+/// later call's slot.
+#[derive(Default)]
+struct GrantSlot {
+    state: std::sync::Mutex<SlotState>,
+    filled: Condvar,
+}
+
+#[derive(Default)]
+struct SlotState {
+    reply: Option<GrantReply>,
+    /// The owner sleeps on `filled`: a reply must wake it. A reply
+    /// written before the owner waits (its own grant) costs no wakeup.
+    sleeping: bool,
+}
+
+impl GrantSlot {
+    fn lock(&self) -> std::sync::MutexGuard<'_, SlotState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn fill(&self, reply: GrantReply) {
+        let mut state = self.lock();
+        state.reply = Some(reply);
+        if state.sleeping {
+            self.filled.notify_one();
+        }
+    }
+
+    fn take(&self) -> Option<GrantReply> {
+        self.lock().reply.take()
+    }
+
+    /// Waits until a reply is written or `deadline` passes (`None`: no
+    /// deadline), and takes the reply.
+    fn wait(&self, deadline: Option<Instant>) -> Option<GrantReply> {
+        let mut state = self.lock();
+        loop {
+            if let Some(reply) = state.reply.take() {
+                return Some(reply);
+            }
+            let left = match deadline {
+                None => None,
+                Some(at) => match at.saturating_duration_since(Instant::now()) {
+                    left if left.is_zero() => return None,
+                    left => Some(left),
+                },
+            };
+            state.sleeping = true;
+            state = match left {
+                None => self
+                    .filled
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner),
+                Some(left) => {
+                    self.filled
+                        .wait_timeout(state, left)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0
+                }
+            };
+            state.sleeping = false;
+        }
     }
 }
 
-/// A decoded, shard-attributed unit of work produced by the drain pass.
-enum ShardWork {
-    Deliver { from: NodeId, msg: ArbiterMsg },
-    Acquire { grant: Sender<GrantReply> },
-    Release { gen: u64 },
+thread_local! {
+    /// The calling thread's [`GrantSlot`].
+    static GRANT_SLOT: Arc<GrantSlot> = Arc::default();
 }
 
 /// Number of [`ArbiterTimer`] kinds.
@@ -198,10 +258,10 @@ impl TimerTable {
 /// lock-service bookkeeping that belongs to it.
 struct ShardState {
     protocol: ArbiterNode,
-    /// Pending grant channels paired with their acquire time, for the
-    /// CS-grant latency histogram. Waiters survive a crash: on recovery
-    /// the node re-requests the lock on their behalf.
-    waiters: VecDeque<(Sender<GrantReply>, Instant)>,
+    /// Queued lock calls, each with its grant slot and the time it queued
+    /// (for the CS-grant latency histogram). Waiters survive a crash: on
+    /// recovery the node re-requests the lock on their behalf.
+    waiters: VecDeque<(Arc<GrantSlot>, Instant)>,
     /// Open `request_collection` span while this shard's arbiter window
     /// collects requests (closed by the Q-list seal).
     collection_span: Option<SpanGuard>,
@@ -210,13 +270,21 @@ struct ShardState {
     forwarding_span: Option<SpanGuard>,
     engaged: bool,
     in_cs: bool,
+    /// When a request last arrived or the token last left or arrived.
+    contended_at: Option<Instant>,
     /// CS generation: bumped on every grant and on every crash, so a
-    /// [`NodeEvent::Release`] from a guard granted in an earlier era is
-    /// recognized as stale and ignored.
+    /// release from a guard granted in an earlier era is recognized as
+    /// stale and ignored.
     cs_gen: u64,
 }
 
 impl ShardState {
+    /// Whether lock callers fire this shard's due timers themselves: no
+    /// other node has wanted its token for [`QUIET`].
+    fn inline(&self) -> bool {
+        self.contended_at.is_none_or(|at| at.elapsed() >= QUIET)
+    }
+
     fn new(protocol: ArbiterNode) -> Self {
         ShardState {
             protocol,
@@ -225,6 +293,7 @@ impl ShardState {
             forwarding_span: None,
             engaged: false,
             in_cs: false,
+            contended_at: None,
             cs_gen: 0,
         }
     }
@@ -310,48 +379,92 @@ pub(crate) enum NodeNet {
     },
 }
 
-/// A node's transport, as its loop runs it.
+/// A node's transport, as its core runs it.
 enum Net {
     Channel(Arc<ChannelTransport>),
-    /// Both halves of the node's TCP endpoint, served by its poller.
+    /// Both halves of the node's TCP endpoint, served through its poller.
     Tcp {
         inbound: Inbound,
         outbound: Outbound,
     },
+    /// Shut down: every socket is closed and frames are dropped.
+    Closed,
 }
 
-pub(crate) struct NodeLoop {
-    id: NodeId,
-    shards: Vec<ShardState>,
-    inbox: InboxRx,
-    poller: Poller,
-    events: Events,
-    net: Net,
-    /// Frames read in the current wakeup, before staging.
-    frames: Vec<(NodeId, Bytes)>,
-    metrics: Arc<ClusterMetrics>,
-    obs: Obs,
-    hot: HotObs,
-    n: usize,
+impl Net {
+    /// The earliest pending connect, stall, backoff or accept deadline.
+    fn resume_at(&self) -> Option<Instant> {
+        let Net::Tcp { inbound, outbound } = self else {
+            return None;
+        };
+        inbound
+            .resume_at()
+            .into_iter()
+            .chain(outbound.resume_at())
+            .min()
+    }
 
-    timers: TimerTable,
-
-    alive: bool,
-    /// Internally generated events processed before external ones
-    /// (e.g. auto-release when a grantee abandoned its request).
-    backlog: VecDeque<NodeEvent>,
-    /// Events taken from the inbox and not yet handled: a drain pass
-    /// stops at [`BATCH`] events or a control barrier.
-    incoming: VecDeque<NodeEvent>,
-    /// Per-shard staging buffers for one drain pass. Persistent across
-    /// passes so the (very hot) one-event-per-wakeup case costs no
-    /// allocation once the deques have warmed up.
-    buckets: Vec<VecDeque<ShardWork>>,
+    /// Acts on every such deadline that has passed by `now`.
+    fn resume_due(&mut self, poller: &Poller, now: Instant) {
+        let Net::Tcp { inbound, outbound } = self else {
+            return;
+        };
+        if inbound.resume_at().is_some_and(|at| at <= now) {
+            inbound.resume(poller);
+        }
+        if outbound.resume_at().is_some_and(|at| at <= now) {
+            outbound.resume(poller);
+        }
+    }
 }
 
-impl NodeLoop {
-    /// A loop for one node's `shards`, fed by `inbox` and sending and
-    /// receiving over `net`.
+/// Serves ready poller `tokens` of a TCP endpoint: reads the inbound
+/// sockets into `frames` and writes out the outbound ones. A token may be
+/// stale (another thread served the socket since the wait that reported
+/// it); serving it then finds nothing to do.
+fn serve_tokens(
+    poller: &Poller,
+    inbound: &mut Inbound,
+    outbound: &mut Outbound,
+    tokens: impl Iterator<Item = u64>,
+    frames: &mut Vec<(NodeId, Bytes)>,
+) {
+    for token in tokens {
+        if token >= Outbound::FIRST_TOKEN {
+            outbound.ready(poller, token);
+        } else if token != BELL {
+            inbound.ready(poller, token, frames);
+        }
+    }
+}
+
+/// What the node thread published about its wait.
+#[derive(Clone, Copy)]
+enum LoopState {
+    /// Running, or about to take the core: it looks at every deadline
+    /// before it waits again.
+    Running,
+    /// Waiting on the poller until this deadline (`None`: until woken).
+    Parked(Option<Instant>),
+}
+
+/// One node of the cluster, shared by its thread and every handle that
+/// locks through it.
+pub(crate) struct Node {
+    core: Mutex<NodeCore>,
+    poller: Arc<Poller>,
+}
+
+impl std::fmt::Debug for Node {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Node").finish_non_exhaustive()
+    }
+}
+
+impl Node {
+    /// A node running `shards`, fed by `inbox` and sending and receiving
+    /// over `net`. Every shard is started; run the node's thread with
+    /// [`Node::run`].
     ///
     /// # Errors
     ///
@@ -369,7 +482,7 @@ impl NodeLoop {
         let k = shards.len();
         let obs = metrics.obs().clone();
         let hot = HotObs::new(&obs);
-        let poller = Poller::new()?;
+        let poller = Arc::new(Poller::new()?);
         poller.register(inbox.bell(), BELL, Interest::READABLE.edge())?;
         let net = match net {
             NodeNet::Channel(transport) => Net::Channel(transport),
@@ -382,330 +495,471 @@ impl NodeLoop {
                 outbound: Outbound::new(id, peers, &obs, panel),
             },
         };
-        Ok(NodeLoop {
+        let mut core = NodeCore {
             id,
+            n,
             shards: shards.into_iter().map(ShardState::new).collect(),
+            timers: TimerTable::new(k),
             inbox,
-            poller,
+            incoming: VecDeque::new(),
+            poller: Arc::clone(&poller),
             events: Events::with_capacity(POLL_EVENTS),
             net,
             frames: Vec::new(),
+            backlog: VecDeque::new(),
             metrics,
             obs,
             hot,
-            n,
-            timers: TimerTable::new(k),
             alive: true,
-            backlog: VecDeque::new(),
-            incoming: VecDeque::new(),
-            buckets: (0..k).map(|_| VecDeque::new()).collect(),
+            closed: false,
+            state: LoopState::Running,
+        };
+        for s in 0..k {
+            core.dispatch(ShardId(s as u16), Input::Start);
+        }
+        Ok(Node {
+            core: Mutex::new(core),
+            poller,
         })
     }
 
-    pub(crate) fn run(mut self) {
-        for s in 0..self.shards.len() {
-            self.dispatch(ShardId(s as u16), Input::Start);
-        }
-        let mut unpolled = 0;
+    /// The node thread: serves the inbox, fires due timers, then waits on
+    /// the poller until the earliest deadline and serves what it reports,
+    /// until the node shuts down.
+    pub(crate) fn run(&self) {
+        let mut events = Events::with_capacity(POLL_EVENTS);
+        let mut core = self.core.lock();
         loop {
-            if let Some(ev) = self.backlog.pop_front() {
-                if self.handle(ev) {
-                    return;
-                }
-                continue;
-            }
-            let next_due = self.fire_due_timers();
-            if self.incoming.is_empty() && self.backlog.is_empty() {
-                if self.inbox.park() {
-                    self.poll(next_due);
-                    self.inbox.unpark();
-                    unpolled = 0;
-                } else if matches!(self.net, Net::Tcp { .. }) && unpolled >= POLL_EVERY {
-                    self.poll(Some(Instant::now()));
-                    unpolled = 0;
-                } else {
-                    unpolled += 1;
-                }
-                self.inbox.take(&mut self.incoming, BATCH);
-            }
-            if self.drain() {
+            core.serve_inbox();
+            if core.closed {
                 return;
             }
+            let deadline = core.settle();
+            if !core.inbox.park() {
+                continue;
+            }
+            core.state = LoopState::Parked(deadline);
+            drop(core);
+            let timeout = deadline.map(|at| at.saturating_duration_since(Instant::now()));
+            self.poller
+                .wait(&mut events, timeout)
+                .expect("waiting on the node's own epoll instance");
+            core = self.core.lock();
+            core.inbox.unpark();
+            core.state = LoopState::Running;
+            core.serve_events(&events);
         }
     }
 
-    /// Waits on the poller until `deadline` (`None`: until something is
-    /// ready), then serves every ready socket: reads the inbound ones and
-    /// stages their frames, and writes out the outbound ones.
-    fn poll(&mut self, deadline: Option<Instant>) {
-        let (listener_due, links_due) = match &self.net {
-            Net::Tcp { inbound, outbound } => (inbound.resume_at(), outbound.resume_at()),
-            Net::Channel(_) => (None, None),
-        };
-        let deadline = [deadline, listener_due, links_due]
-            .into_iter()
-            .flatten()
-            .min();
-        let timeout = deadline.map(|d| d.saturating_duration_since(Instant::now()));
-        self.poller
-            .wait(&mut self.events, timeout)
-            .expect("waiting on the node's own epoll instance");
+    /// Requests the lock on `shard` and waits up to `timeout` (`None`: for
+    /// ever) for the grant, returning its CS generation. Runs the
+    /// request on the calling thread; see the [module docs](self).
+    pub(crate) fn acquire(&self, shard: ShardId, timeout: Option<Duration>) -> GrantReply {
+        let deadline = timeout.and_then(|t| Instant::now().checked_add(t));
+        GRANT_SLOT.with(|slot| {
+            let mut core = self.core.lock();
+            // What reached the node before this call is handled before
+            // the call's seal.
+            core.poll_ready();
+            core.serve_inbox();
+            let queued = core.enqueue(shard, slot);
+            core.leave(shard);
+            drop(core);
+            queued?;
+            if let Some(reply) = slot.wait(deadline) {
+                return reply;
+            }
+            let mut core = self.core.lock();
+            let withdrawn = core.withdraw(shard, slot);
+            core.leave(shard);
+            drop(core);
+            if withdrawn {
+                Err(LockError::Timeout)
+            } else {
+                // The reply was written between the timeout and the
+                // withdrawal.
+                slot.take()
+                    .expect("a waiter leaves its queue only with a reply")
+            }
+        })
+    }
+
+    /// Ends the critical section on `shard` granted under generation
+    /// `gen`, on the calling thread. A stale generation (the node crashed
+    /// since the grant) releases nothing.
+    pub(crate) fn release(&self, shard: ShardId, gen: u64) {
+        let mut core = self.core.lock();
+        // A crash posted before the release makes the release stale.
+        core.serve_inbox();
+        core.release(shard, gen);
+        core.leave(shard);
+    }
+}
+
+/// A node's mutable runtime state: everything a step of one of its
+/// shards reads or writes. Lives in [`Node::core`].
+struct NodeCore {
+    id: NodeId,
+    n: usize,
+    shards: Vec<ShardState>,
+    timers: TimerTable,
+    inbox: InboxRx,
+    /// Inbox events taken and not yet handled (kept for its capacity).
+    incoming: VecDeque<NodeEvent>,
+    poller: Arc<Poller>,
+    /// Lock callers' zero-timeout poller waits land here.
+    events: Events,
+    net: Net,
+    /// Frames read from the sockets and not yet delivered.
+    frames: Vec<(NodeId, Bytes)>,
+    /// Grants whose waiter was gone (withdrawn on timeout) and that are
+    /// released as soon as the step that made them is done: `(shard,
+    /// generation)`.
+    backlog: VecDeque<(ShardId, u64)>,
+    metrics: Arc<ClusterMetrics>,
+    obs: Obs,
+    hot: HotObs,
+    alive: bool,
+    closed: bool,
+    state: LoopState,
+}
+
+impl NodeCore {
+    /// Reads every socket that is ready now and delivers its frames.
+    fn poll_ready(&mut self) {
         let Net::Tcp { inbound, outbound } = &mut self.net else {
             return;
         };
-        inbound.resume(&self.poller);
-        for token in self.events.tokens() {
-            if token >= Outbound::FIRST_TOKEN {
-                outbound.ready(&self.poller, token);
-            } else if token != BELL {
-                inbound.ready(&self.poller, token, &mut self.frames);
+        let ready = self
+            .poller
+            .wait(&mut self.events, Some(Duration::ZERO))
+            .expect("polling the node's own epoll instance");
+        if ready > 0 {
+            if self.events.tokens().any(|token| token == BELL) {
+                // The wakeup was meant for the node thread: hand it on.
+                self.inbox.ring();
             }
+            serve_tokens(
+                &self.poller,
+                inbound,
+                outbound,
+                self.events.tokens(),
+                &mut self.frames,
+            );
+            self.deliver_frames();
         }
-        if links_due.is_some_and(|at| at <= Instant::now()) {
-            outbound.resume(&self.poller);
+    }
+
+    /// Serves the sockets a node-thread wait found ready.
+    fn serve_events(&mut self, events: &Events) {
+        if let Net::Tcp { inbound, outbound } = &mut self.net {
+            serve_tokens(
+                &self.poller,
+                inbound,
+                outbound,
+                events.tokens(),
+                &mut self.frames,
+            );
         }
+        self.deliver_frames();
+    }
+
+    fn deliver_frames(&mut self) {
         let mut frames = std::mem::take(&mut self.frames);
         for (from, frame) in frames.drain(..) {
-            self.stage(NodeEvent::Wire { from, frame });
+            self.deliver(from, frame);
         }
         self.frames = frames;
     }
 
-    /// Stages up to [`BATCH`] taken inbox events into the per-shard
-    /// buckets, next to any frames the last poll staged (preserving each
-    /// shard's arrival order — cross-shard order is immaterial, the
-    /// instances are independent), then dispatches one shard at a time.
-    /// A control event ends the batch (it is a barrier across all
-    /// shards). Returns `true` on shutdown.
-    fn drain(&mut self) -> bool {
-        let mut barrier = None;
-        for _ in 0..BATCH {
-            match self.incoming.pop_front() {
-                Some(ev) if ev.is_control() => {
-                    barrier = Some(ev);
-                    break;
+    /// Handles every queued inbox event, in order.
+    fn serve_inbox(&mut self) {
+        self.inbox.take(&mut self.incoming, usize::MAX);
+        while let Some(ev) = self.incoming.pop_front() {
+            match ev {
+                NodeEvent::Wire { from, frame } => self.deliver(from, frame),
+                NodeEvent::LinksChanged => {
+                    if let Net::Tcp { outbound, .. } = &mut self.net {
+                        outbound.resume(&self.poller);
+                    }
                 }
-                Some(ev) => self.stage(ev),
-                None => break,
+                NodeEvent::Crash => self.crash(),
+                NodeEvent::Recover => self.recover(),
+                NodeEvent::Shutdown => self.shut_down(),
             }
         }
-        for idx in 0..self.buckets.len() {
-            let shard = ShardId(idx as u16);
-            while let Some(work) = self.buckets[idx].pop_front() {
-                self.handle_shard_work(shard, work);
+    }
+
+    /// Releases the grants of vanished waiters and fires every due timer,
+    /// earliest first, then acts on due transport deadlines. Returns the
+    /// earliest deadline still pending.
+    fn settle(&mut self) -> Option<Instant> {
+        loop {
+            while let Some((shard, gen)) = self.backlog.pop_front() {
+                self.release(shard, gen);
+            }
+            let now = Instant::now();
+            match self.timers.earliest() {
+                Some((slot, due)) if due <= now => {
+                    let (shard, timer) = self.timers.take(slot);
+                    if self.alive {
+                        self.dispatch(shard, Input::Timer(timer));
+                    }
+                }
+                timer => {
+                    self.net.resume_due(&self.poller, now);
+                    return timer
+                        .map(|(_, due)| due)
+                        .into_iter()
+                        .chain(self.net.resume_at())
+                        .min();
+                }
             }
         }
-        match barrier {
-            Some(ev) => self.handle(ev),
+    }
+
+    /// Finishes a lock caller's visit to `shard`: fires what fell due if
+    /// the shard is quiet, and rings the bell if the parked node thread
+    /// must look at the node again.
+    fn leave(&mut self, shard: ShardId) {
+        let next = if self
+            .shards
+            .get(shard.index())
+            .is_some_and(ShardState::inline)
+        {
+            self.settle()
+        } else {
+            self.next_deadline()
+        };
+        self.wake_loop_before(next);
+    }
+
+    /// The earliest pending deadline, without acting on any: a grant
+    /// waiting to be auto-released is due now.
+    fn next_deadline(&self) -> Option<Instant> {
+        if !self.backlog.is_empty() {
+            return Some(Instant::now());
+        }
+        self.timers
+            .earliest()
+            .map(|(_, due)| due)
+            .into_iter()
+            .chain(self.net.resume_at())
+            .min()
+    }
+
+    /// Rings the bell if the node thread is parked past `next` (the
+    /// node's earliest deadline now), or the node was shut down.
+    fn wake_loop_before(&mut self, next: Option<Instant>) {
+        let LoopState::Parked(until) = self.state else {
+            return;
+        };
+        let earlier = match (next, until) {
+            (Some(next), Some(until)) => next < until,
+            (Some(_), None) => true,
+            (None, _) => false,
+        };
+        if earlier || self.closed {
+            self.state = LoopState::Running;
+            self.inbox.ring();
+        }
+    }
+
+    /// Queues a lock call on `shard` and requests the lock for it if the
+    /// shard is idle.
+    fn enqueue(&mut self, shard: ShardId, slot: &Arc<GrantSlot>) -> Result<(), LockError> {
+        if self.closed || shard.index() >= self.shards.len() {
+            return Err(LockError::ShuttingDown);
+        }
+        if !self.alive {
+            // New demand on a crashed node fails fast; waiters queued
+            // *before* the crash still survive it.
+            self.hot.note(&self.metrics, "acquire_on_crashed_node");
+            return Err(LockError::NodeDown);
+        }
+        self.metrics.cs_requested(shard);
+        self.shards[shard.index()]
+            .waiters
+            .push_back((Arc::clone(slot), Instant::now()));
+        self.pump_lock(shard);
+        Ok(())
+    }
+
+    /// Takes a timed-out call's entry out of `shard`'s queue. False if it
+    /// is no longer queued: its reply has been written.
+    fn withdraw(&mut self, shard: ShardId, slot: &Arc<GrantSlot>) -> bool {
+        let Some(st) = self.shards.get_mut(shard.index()) else {
+            return false;
+        };
+        match st.waiters.iter().position(|(s, _)| Arc::ptr_eq(s, slot)) {
+            Some(at) => {
+                st.waiters.remove(at);
+                true
+            }
             None => false,
         }
     }
 
-    /// Classifies one data event into its shard's staging bucket.
-    fn stage(&mut self, ev: NodeEvent) {
-        if let Some((shard, work)) = self.classify(ev) {
-            self.buckets[shard.index()].push_back(work);
+    fn release(&mut self, shard: ShardId, gen: u64) {
+        if self.closed || shard.index() >= self.shards.len() {
+            return;
+        }
+        let st = &mut self.shards[shard.index()];
+        if gen != st.cs_gen {
+            // A guard from before a crash (or an abandoned grant from an
+            // earlier era): its critical section no longer exists, so
+            // releasing would end somebody else's.
+            self.hot.note(&self.metrics, "stale_release_ignored");
+            return;
+        }
+        if st.in_cs {
+            st.in_cs = false;
+            st.engaged = false;
+            self.metrics.cs_completed(shard);
+            if self.obs.enabled(T_NODE, Level::Debug) {
+                self.obs.emit(
+                    Event::new(T_NODE, Level::Debug, "cs_released")
+                        .node(u64::from(self.id.0))
+                        .shard(u64::from(shard.0)),
+                );
+            }
+            self.dispatch(shard, Input::CsDone);
+            self.pump_lock(shard);
         }
     }
 
-    /// Decodes/attributes one data event to its shard, or absorbs it
-    /// (dead-node traffic, corrupt frames, out-of-range shard ids).
-    fn classify(&mut self, ev: NodeEvent) -> Option<(ShardId, ShardWork)> {
-        match ev {
-            NodeEvent::Wire { from, frame } => {
-                if !self.alive {
-                    return None;
-                }
-                self.hot.wire_bytes_in.add(frame.len() as u64);
-                match wire::decode(&frame) {
-                    Ok((shard, msg)) if shard.index() < self.shards.len() => {
-                        use tokq_protocol::api::ProtocolMessage;
-                        if self.obs.enabled(T_NET, Level::Trace) {
-                            self.obs.emit(
-                                Event::new(T_NET, Level::Trace, "msg_recv")
-                                    .node(u64::from(self.id.0))
-                                    .shard(u64::from(shard.0))
-                                    .field("from", &from.0)
-                                    .field("kind", &msg.kind())
-                                    .field("bytes", &(frame.len() as u64)),
-                            );
-                        }
-                        Some((shard, ShardWork::Deliver { from, msg }))
-                    }
-                    Ok((shard, _)) => {
-                        // A frame for a shard this cluster does not run:
-                        // drop it like a lost message rather than panic.
-                        self.hot.note(&self.metrics, "wire_shard_out_of_range");
-                        if self.obs.enabled(T_NET, Level::Debug) {
-                            self.obs.emit(
-                                Event::new(T_NET, Level::Debug, "wire_shard_out_of_range")
-                                    .node(u64::from(self.id.0))
-                                    .shard(u64::from(shard.0))
-                                    .field("from", &from.0),
-                            );
-                        }
-                        None
-                    }
-                    Err(err) => {
-                        // A corrupt frame is dropped like a lost message.
-                        self.hot.note(&self.metrics, "wire_decode_error");
-                        if self.obs.enabled(T_NET, Level::Debug) {
-                            self.obs.emit(
-                                Event::new(T_NET, Level::Debug, "wire_decode_error")
-                                    .node(u64::from(self.id.0))
-                                    .field("from", &from.0)
-                                    .field("error", &format!("{err:?}")),
-                            );
-                        }
-                        None
-                    }
-                }
-            }
-            NodeEvent::Acquire { shard, grant } => {
-                if shard.index() >= self.shards.len() {
-                    let _ = grant.send(Err(LockError::ShuttingDown));
-                    return None;
-                }
-                if !self.alive {
-                    // New demand on a crashed node fails fast; waiters
-                    // enqueued *before* the crash still survive it.
-                    self.hot.note(&self.metrics, "acquire_on_crashed_node");
-                    let _ = grant.send(Err(LockError::NodeDown));
-                    return None;
-                }
-                Some((shard, ShardWork::Acquire { grant }))
-            }
-            NodeEvent::Release { shard, gen } => {
-                if shard.index() >= self.shards.len() {
-                    return None;
-                }
-                Some((shard, ShardWork::Release { gen }))
-            }
-            NodeEvent::LinksChanged => {
-                if let Net::Tcp { outbound, .. } = &mut self.net {
-                    outbound.resume(&self.poller);
-                }
-                None
-            }
-            NodeEvent::Crash | NodeEvent::Recover | NodeEvent::Shutdown => {
-                unreachable!("control events are handled as barriers")
-            }
+    /// Decodes one frame and steps its shard with it; dead-node traffic,
+    /// corrupt frames and out-of-range shard ids are absorbed.
+    fn deliver(&mut self, from: NodeId, frame: Bytes) {
+        use tokq_protocol::api::ProtocolMessage;
+        if !self.alive {
+            return;
         }
-    }
-
-    fn handle_shard_work(&mut self, shard: ShardId, work: ShardWork) {
-        match work {
-            ShardWork::Deliver { from, msg } => {
-                use tokq_protocol::api::ProtocolMessage;
+        self.hot.wire_bytes_in.add(frame.len() as u64);
+        match wire::decode(&frame) {
+            Ok((shard, msg)) if shard.index() < self.shards.len() => {
                 let (kind, slot) = (msg.kind(), kind_slot(&msg));
+                if self.obs.enabled(T_NET, Level::Trace) {
+                    self.obs.emit(
+                        Event::new(T_NET, Level::Trace, "msg_recv")
+                            .node(u64::from(self.id.0))
+                            .shard(u64::from(shard.0))
+                            .field("from", &from.0)
+                            .field("kind", &kind)
+                            .field("bytes", &(frame.len() as u64)),
+                    );
+                }
                 let start = Instant::now();
+                if matches!(
+                    msg,
+                    ArbiterMsg::Request { .. }
+                        | ArbiterMsg::MonitorSubmit { .. }
+                        | ArbiterMsg::Privilege(_)
+                ) {
+                    self.shards[shard.index()].contended_at = Some(start);
+                }
                 self.dispatch(shard, Input::Deliver { from, msg });
                 let elapsed = start.elapsed();
                 self.hot.handle_ns[slot]
                     .get_or_insert_with(|| self.obs.registry().histogram_with("handle_ns", kind))
                     .record_duration(elapsed);
             }
-            ShardWork::Acquire { grant } => {
-                self.metrics.cs_requested(shard);
-                self.shards[shard.index()]
-                    .waiters
-                    .push_back((grant, Instant::now()));
-                self.pump_lock(shard);
-            }
-            ShardWork::Release { gen } => {
-                let st = &mut self.shards[shard.index()];
-                if gen != st.cs_gen {
-                    // A guard from before a crash (or an abandoned grant
-                    // from an earlier era): its critical section no longer
-                    // exists, so releasing would end somebody else's.
-                    self.hot.note(&self.metrics, "stale_release_ignored");
-                    return;
+            Ok((shard, _)) => {
+                // A frame for a shard this cluster does not run: drop it
+                // like a lost message rather than panic.
+                self.hot.note(&self.metrics, "wire_shard_out_of_range");
+                if self.obs.enabled(T_NET, Level::Debug) {
+                    self.obs.emit(
+                        Event::new(T_NET, Level::Debug, "wire_shard_out_of_range")
+                            .node(u64::from(self.id.0))
+                            .shard(u64::from(shard.0))
+                            .field("from", &from.0),
+                    );
                 }
-                if st.in_cs {
-                    st.in_cs = false;
-                    st.engaged = false;
-                    self.metrics.cs_completed(shard);
-                    if self.obs.enabled(T_NODE, Level::Debug) {
-                        self.obs.emit(
-                            Event::new(T_NODE, Level::Debug, "cs_released")
-                                .node(u64::from(self.id.0))
-                                .shard(u64::from(shard.0)),
-                        );
-                    }
-                    self.dispatch(shard, Input::CsDone);
-                    self.pump_lock(shard);
+            }
+            Err(err) => {
+                // A corrupt frame is dropped like a lost message.
+                self.hot.note(&self.metrics, "wire_decode_error");
+                if self.obs.enabled(T_NET, Level::Debug) {
+                    self.obs.emit(
+                        Event::new(T_NET, Level::Debug, "wire_decode_error")
+                            .node(u64::from(self.id.0))
+                            .field("from", &from.0)
+                            .field("error", &format!("{err:?}")),
+                    );
                 }
             }
         }
     }
 
-    /// Handles one event outside a batch (backlog entries and control
-    /// barriers). Returns `true` on shutdown.
-    fn handle(&mut self, ev: NodeEvent) -> bool {
-        match ev {
-            NodeEvent::Crash => {
-                if self.alive {
-                    for s in 0..self.shards.len() {
-                        self.dispatch(ShardId(s as u16), Input::Crash);
-                    }
-                    self.alive = false;
-                    for st in &mut self.shards {
-                        st.in_cs = false;
-                        st.engaged = false;
-                        // Invalidate any outstanding guard: its release
-                        // (or an in-flight grant consumed late) must not
-                        // close a post-recovery critical section.
-                        st.cs_gen += 1;
-                        // Waiters survive: their application threads are
-                        // still blocked on the grant channel, so the
-                        // recovered node re-requests on their behalf
-                        // instead of stranding them.
-                        st.collection_span = None;
-                        st.forwarding_span = None;
-                    }
-                    self.timers.clear();
-                    if self.obs.enabled(T_NODE, Level::Info) {
-                        self.obs.emit(
-                            Event::new(T_NODE, Level::Info, "crashed").node(u64::from(self.id.0)),
-                        );
-                    }
-                }
-                false
+    fn crash(&mut self) {
+        if !self.alive {
+            return;
+        }
+        for s in 0..self.shards.len() {
+            self.dispatch(ShardId(s as u16), Input::Crash);
+        }
+        self.alive = false;
+        for st in &mut self.shards {
+            st.in_cs = false;
+            st.engaged = false;
+            // Invalidate any outstanding guard: its release (or a grant
+            // auto-released late) must not close a post-recovery
+            // critical section.
+            st.cs_gen += 1;
+            // Waiters survive: their application threads are still
+            // blocked on their grant slots, so the recovered node
+            // re-requests on their behalf instead of stranding them.
+            st.collection_span = None;
+            st.forwarding_span = None;
+        }
+        self.timers.clear();
+        self.backlog.clear();
+        if self.obs.enabled(T_NODE, Level::Info) {
+            self.obs
+                .emit(Event::new(T_NODE, Level::Info, "crashed").node(u64::from(self.id.0)));
+        }
+    }
+
+    fn recover(&mut self) {
+        if self.alive {
+            return;
+        }
+        self.alive = true;
+        if self.obs.enabled(T_NODE, Level::Info) {
+            self.obs
+                .emit(Event::new(T_NODE, Level::Info, "recovered").node(u64::from(self.id.0)));
+        }
+        for s in 0..self.shards.len() {
+            self.dispatch(ShardId(s as u16), Input::Recover);
+        }
+        for s in 0..self.shards.len() {
+            let shard = ShardId(s as u16);
+            if !self.shards[s].waiters.is_empty() {
+                // Re-issue the lock request for waiters that survived the
+                // crash, counted separately from fresh demand.
+                self.metrics.cs_rerequested(shard);
+                self.shards[s].engaged = true;
+                self.dispatch(shard, Input::RequestCs);
             }
-            NodeEvent::Recover => {
-                if !self.alive {
-                    self.alive = true;
-                    if self.obs.enabled(T_NODE, Level::Info) {
-                        self.obs.emit(
-                            Event::new(T_NODE, Level::Info, "recovered").node(u64::from(self.id.0)),
-                        );
-                    }
-                    for s in 0..self.shards.len() {
-                        self.dispatch(ShardId(s as u16), Input::Recover);
-                    }
-                    for s in 0..self.shards.len() {
-                        let shard = ShardId(s as u16);
-                        if !self.shards[s].waiters.is_empty() {
-                            // Re-issue the lock request for waiters that
-                            // survived the crash, counted separately from
-                            // fresh demand.
-                            self.metrics.cs_rerequested(shard);
-                            self.shards[s].engaged = true;
-                            self.dispatch(shard, Input::RequestCs);
-                        }
-                    }
-                }
-                false
+        }
+    }
+
+    /// Stops the node: closes the inbox and every socket, and fails every
+    /// queued lock call.
+    fn shut_down(&mut self) {
+        self.closed = true;
+        self.inbox.close();
+        self.incoming.clear();
+        self.net = Net::Closed;
+        self.timers.clear();
+        self.backlog.clear();
+        for st in &mut self.shards {
+            for (slot, _) in st.waiters.drain(..) {
+                slot.fill(Err(LockError::ShuttingDown));
             }
-            NodeEvent::Shutdown => true,
-            other => {
-                // Backlog data events (e.g. auto-release) take the same
-                // path as batched ones.
-                if let Some((shard, work)) = self.classify(other) {
-                    self.handle_shard_work(shard, work);
-                }
-                false
-            }
+            st.collection_span = None;
+            st.forwarding_span = None;
         }
     }
 
@@ -714,21 +968,6 @@ impl NodeLoop {
         if self.alive && !st.engaged && !st.in_cs && !st.waiters.is_empty() {
             self.shards[shard.index()].engaged = true;
             self.dispatch(shard, Input::RequestCs);
-        }
-    }
-
-    /// Fires every due timer, earliest first, and returns the deadline of
-    /// the next one still pending.
-    fn fire_due_timers(&mut self) -> Option<Instant> {
-        loop {
-            let (slot, due) = self.timers.earliest()?;
-            if due > Instant::now() {
-                return Some(due);
-            }
-            let (shard, timer) = self.timers.take(slot);
-            if self.alive {
-                self.dispatch(shard, Input::Timer(timer));
-            }
         }
     }
 
@@ -759,7 +998,8 @@ impl NodeLoop {
                     st.cs_gen += 1;
                     let cs_gen = st.cs_gen;
                     match st.waiters.pop_front() {
-                        Some((grant, since)) if grant.send(Ok(cs_gen)).is_ok() => {
+                        Some((slot, since)) => {
+                            slot.fill(Ok(cs_gen));
                             let waited = since.elapsed();
                             self.hot.cs_grant.record_duration(waited);
                             if self.obs.enabled(T_NODE, Level::Debug) {
@@ -774,12 +1014,9 @@ impl NodeLoop {
                                 );
                             }
                         }
-                        _ => {
-                            // The waiter gave up (timeout) or vanished:
-                            // release immediately so the token moves on.
-                            self.backlog
-                                .push_back(NodeEvent::Release { shard, gen: cs_gen });
-                        }
+                        // Every waiter gave up (timeout): release at once
+                        // so the token moves on.
+                        None => self.backlog.push_back((shard, cs_gen)),
                     }
                 }
                 Action::Note(note) => {
@@ -823,6 +1060,9 @@ impl NodeLoop {
     fn transmit(&mut self, shard: ShardId, to: NodeId, msg: &ArbiterMsg) {
         use tokq_protocol::api::ProtocolMessage;
         let kind = msg.kind();
+        if let ArbiterMsg::Privilege(_) = msg {
+            self.shards[shard.index()].contended_at = Some(Instant::now());
+        }
         let sent = self.hot.msg_sent[kind_slot(msg)]
             .get_or_insert_with(|| self.metrics.kind_counter(kind));
         self.metrics.message(shard, sent);
@@ -845,6 +1085,7 @@ impl NodeLoop {
                 frame,
             }),
             Net::Tcp { outbound, .. } => outbound.send(&self.poller, to, frame),
+            Net::Closed => {}
         }
     }
 }

@@ -19,7 +19,7 @@
 //! When nothing is queued on the link and the link is connected, its
 //! fault-panel link is open and it is not waiting for the socket to
 //! drain, the frame goes straight into the socket: one `write` from the
-//! node thread. Otherwise it joins the link's queue and waits:
+//! thread stepping the node. Otherwise it joins the link's queue and waits:
 //!
 //! * no connection yet: a nonblocking connect starts
 //!   ([`tokq_sys::connect_nonblocking`]), bounded by a 500 ms deadline;
@@ -53,14 +53,14 @@
 //!
 //! # Receive path
 //!
-//! Each node loop owns an `Inbound`: the node's nonblocking listener and
-//! every connection it accepted, all registered with the loop's
-//! [`Poller`], which also watches the node's inbox bell. When a connection
-//! is ready the node thread reads it into that connection's fixed 4 KiB
-//! buffer until a read comes back short or would block, and parses every
-//! complete frame out of it; the buffer grows only while a frame larger
-//! than itself is being assembled. The frames join the inbox events of the
-//! same wakeup in one dispatch batch. A corrupt length closes that
+//! Each node owns an `Inbound`: the node's nonblocking listener and every
+//! connection it accepted, all registered with the node's [`Poller`],
+//! which also watches the node's inbox bell. When a connection is ready,
+//! the node thread (or a lock caller polling before its request) reads it
+//! into that connection's fixed 4 KiB buffer until a read comes back short
+//! or would block, and parses every complete frame out of it; the buffer
+//! grows only while a frame larger than itself is being assembled. The
+//! frames are delivered in arrival order. A corrupt length closes that
 //! connection only; the peer reconnects. Shutting a node down closes its
 //! listener and connections with it.
 

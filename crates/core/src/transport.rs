@@ -1,4 +1,4 @@
-//! The in-process transport moving encoded frames between node threads.
+//! The in-process transport moving encoded frames between nodes.
 //!
 //! Transports are **shard-oblivious**: a frame is an opaque byte string
 //! whose [`crate::wire`] header already carries the shard tag, so one
@@ -92,7 +92,8 @@ pub(crate) struct Envelope {
 /// `NodeEvent::Wire`, applying [`NetOptions`].
 ///
 /// Frames pass through a dedicated network thread when any delay, jitter,
-/// or loss is configured; otherwise the sending node posts them itself.
+/// or loss is configured; otherwise the thread stepping the sending node
+/// (its node thread or a lock caller) posts them itself.
 pub(crate) struct ChannelTransport {
     inboxes: Vec<InboxTx>,
     net_tx: Option<Sender<Envelope>>,
@@ -307,7 +308,7 @@ mod tests {
     /// A one-node transport under `opts` with its own fault panel, and the
     /// node's inbox.
     fn one_node(opts: NetOptions) -> (ChannelTransport, InboxRx) {
-        let (tx, rx) = inbox().expect("eventfd");
+        let (tx, rx) = inbox(tokq_obs::Counter::detached()).expect("eventfd");
         let obs = Obs::disabled(Source::Runtime);
         let panel = FaultPanel::new(1, &obs);
         (ChannelTransport::new(vec![tx], opts, &obs, panel), rx)

@@ -474,8 +474,11 @@ impl ArbiterNode {
         }
         // Drop entries that were granted since being collected (the
         // token's L array, paper §2.4).
-        let tok_ref = self.token.as_ref().expect("seal requires token");
-        let lg = tok_ref.last_granted.clone();
+        let lg = &self
+            .token
+            .as_ref()
+            .expect("seal requires token")
+            .last_granted;
         let mut q = QList::new();
         for e in std::mem::take(&mut self.collect) {
             let granted = lg.get(e.node.index()).copied().unwrap_or(SeqNum::ZERO);

@@ -68,6 +68,13 @@ echo "==> reactor: n node threads, no writers (5- and 32-node TCP, channel) + so
 # fails here.
 cargo test -q --test reactor
 
+echo "==> caller-driven locks: release build, then the contended TCP split twice"
+# Lock calls step their node on the calling thread: a lost wakeup, a late
+# grant kept, or contending clients that stop alternating fails here.
+cargo test --release -q --test caller_driven
+cargo test --release -q --test self_grant
+cargo test --release -q --test self_grant
+
 echo "==> tcp bench smoke: grant latency, healthy vs one peer dead"
 cargo run --release --quiet -p tokq-bench --bin tcp_pipeline -- --rounds 3
 
