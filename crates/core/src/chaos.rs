@@ -769,7 +769,7 @@ pub fn soak(opts: &SoakOptions) -> SoakReport {
     }
 
     // With the mesh healed and the workers stopped, the TCP send pipeline
-    // must flush every parked frame; give the node loops a short window
+    // must flush every parked frame; give the reactors a short window
     // and record whatever depth remains.
     let drain_deadline = Instant::now() + Duration::from_secs(2);
     while metrics.outbox_depth() > 0 && Instant::now() < drain_deadline {

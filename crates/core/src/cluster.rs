@@ -21,7 +21,7 @@ use tokq_protocol::types::NodeId;
 use crate::fault::FaultPanel;
 use crate::inbox::{inbox, InboxTx};
 use crate::metrics::ClusterMetrics;
-use crate::node::{Node, NodeEvent, NodeNet};
+use crate::node::{reactor_count, Node, NodeEvent, NodeNet, Reactor};
 use crate::service::{FaultError, LockError, ResourceId, ShardId};
 use crate::transport::{ChannelTransport, NetOptions};
 
@@ -120,7 +120,8 @@ impl ClusterBuilder {
         self
     }
 
-    /// Spawns the node threads and returns the running cluster.
+    /// Starts the nodes, driven by one reactor thread per CPU (at most one
+    /// per node), and returns the running cluster.
     ///
     /// # Panics
     ///
@@ -155,8 +156,8 @@ impl ClusterBuilder {
         let mut nets = Vec::with_capacity(self.n);
         if self.tcp {
             // One loopback listener per node, ephemeral ports. Each node
-            // loop accepts and reads its own connections and owns one
-            // outbound connection to each peer.
+            // accepts and reads its own connections and owns one outbound
+            // connection to each peer.
             let listeners: Vec<TcpListener> = (0..self.n)
                 .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback listener"))
                 .collect();
@@ -168,7 +169,6 @@ impl ClusterBuilder {
                 nets.push(NodeNet::Tcp {
                     listener,
                     peers: peers.clone(),
-                    panel: fault_panel.clone(),
                 });
             }
             // Frames waiting behind a blocked link go out when a node
@@ -189,25 +189,37 @@ impl ClusterBuilder {
             nets.resize_with(self.n, || NodeNet::Channel(Arc::clone(&transport)));
         }
 
-        let mut nodes = Vec::with_capacity(self.n);
-        let mut threads = Vec::with_capacity(self.n);
-        for (i, (rx, net)) in node_rxs.into_iter().zip(nets).enumerate() {
-            let id = NodeId::from_index(i);
-            let protocols = (0..self.shards)
-                .map(|s| self.config.build_shard(id, self.n, s))
-                .collect();
-            let node = Arc::new(
-                Node::new(protocols, rx, net, Arc::clone(&metrics))
-                    .expect("set up the node's epoll instance"),
-            );
-            let runner = Arc::clone(&node);
-            let h = std::thread::Builder::new()
-                .name(format!("tokq-node-{i}"))
-                .spawn(move || runner.run())
-                .expect("spawn node thread");
-            nodes.push(node);
-            threads.push(h);
-        }
+        let nodes: Vec<Arc<Node>> = node_rxs
+            .into_iter()
+            .zip(nets)
+            .enumerate()
+            .map(|(i, (rx, net))| {
+                let id = NodeId::from_index(i);
+                let protocols = (0..self.shards)
+                    .map(|s| self.config.build_shard(id, self.n, s))
+                    .collect();
+                let node = Node::new(
+                    protocols,
+                    rx,
+                    net,
+                    fault_panel.clone(),
+                    Arc::clone(&metrics),
+                );
+                Arc::new(node.expect("set up the node's epoll instance"))
+            })
+            .collect();
+        // Node i is driven by reactor i mod P.
+        let p = reactor_count(self.n);
+        let threads = (0..p)
+            .map(|k| {
+                let share = nodes.iter().skip(k).step_by(p).cloned().collect();
+                let reactor = Reactor::new(share).expect("set up the reactor's epoll instance");
+                std::thread::Builder::new()
+                    .name(format!("tokq-node-r{k}"))
+                    .spawn(move || reactor.run())
+                    .expect("spawn reactor thread")
+            })
+            .collect();
         Cluster {
             n: self.n,
             shards: self.shards,
@@ -223,10 +235,10 @@ impl ClusterBuilder {
 
 /// A running in-process cluster of arbiter-mutex nodes.
 ///
-/// Each node has its own thread and hosts one protocol instance per
-/// shard; lock calls and guard drops step the node on the calling
-/// thread, and the node thread serves its sockets, timers and control
-/// events. Messages travel as shard-tagged frames through a (optionally
+/// Each node hosts one protocol instance per shard. Lock calls and guard
+/// drops step the node on the calling thread; a pool of reactor threads,
+/// one per CPU and at most one per node, serves every node's sockets,
+/// timers and control events. Messages travel as shard-tagged frames through a (optionally
 /// delayed and lossy) channel transport or a loopback TCP mesh. The
 /// cluster is the distributed-systems equivalent of a `Mutex` keyed by
 /// resource name: obtain [`ResourceHandle`]s via [`Cluster::resource`]
@@ -239,6 +251,7 @@ pub struct Cluster {
     /// Each node's inbox. Kept after shutdown: a node closes its inbox
     /// when it shuts down, so later posts fail with `ShuttingDown`.
     node_txs: Vec<InboxTx>,
+    /// The reactor threads.
     threads: Vec<std::thread::JoinHandle<()>>,
     tcp: bool,
     fault_panel: FaultPanel,
@@ -450,8 +463,9 @@ impl Cluster {
         Arc::clone(&self.metrics)
     }
 
-    /// Stops every node thread and the transport. Called automatically on
-    /// drop; explicit calls make shutdown order deterministic in tests.
+    /// Stops every node, its reactor thread and the transport. Called
+    /// automatically on drop; explicit calls make shutdown order
+    /// deterministic in tests.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
@@ -461,9 +475,9 @@ impl Cluster {
             let _ = tx.send(NodeEvent::Shutdown);
         }
         // Each node shuts down on its Shutdown, closing its inbox and
-        // sockets and failing its queued lock calls, and its thread
-        // exits. The last node to shut down drops the channel transport,
-        // joining its network thread if it has one.
+        // sockets and failing its queued lock calls; a reactor exits once
+        // all of its nodes have. The last node to shut down drops the
+        // channel transport, joining its network thread if it has one.
         for t in self.threads.drain(..) {
             let _ = t.join();
         }

@@ -1,20 +1,20 @@
 //! A node's inbox: the queue of [`NodeEvent`]s its node drains, with a
-//! bell that rings the node thread's poller only while it is parked.
+//! bell that rings the node's poller only while the node is parked.
 //!
 //! Crash/recover/shutdown, fault-panel transitions and the channel
 //! transport's frames post here; lock calls do not (they run on the
 //! calling thread). A post is one short critical section on the queue.
-//! It rings the bell (one eventfd write) only if the loop has published
-//! that it is parking, and then only once per parking: a busy loop is
-//! never woken, because it drains the queue before it parks again. The
-//! queue is drained by whichever thread holds the node's core, the node
-//! thread or a lock caller, so events keep their order relative to the
-//! lock calls that follow them.
+//! It rings the bell (one eventfd write) only if the node's reactor has
+//! published that the node is parked, and then only once per parking: a
+//! node being driven is never rung, because its reactor drains the queue
+//! before it parks the node again. The queue is drained by whichever
+//! thread holds the node's core, the reactor or a lock caller, so events
+//! keep their order relative to the lock calls that follow them.
 //!
 //! The park protocol closes the lost-wakeup window. [`InboxRx::park`]
 //! checks the queue and sets `parked` under the queue's lock, so a post
-//! either lands before the check (and the loop does not wait) or after
-//! it (and sees `parked`, and rings).
+//! either lands before the check (and the reactor does not park the
+//! node) or after it (and sees `parked`, and rings).
 
 use std::collections::VecDeque;
 use std::io;
@@ -29,16 +29,16 @@ use crate::node::NodeEvent;
 
 struct Queue {
     events: VecDeque<NodeEvent>,
-    /// Set when the loop has exited: posts fail, so callers see the node
-    /// as shut down.
+    /// Set when the node has shut down: posts fail, so callers see the
+    /// node as shut down.
     closed: bool,
 }
 
 struct Shared {
     queue: Mutex<Queue>,
-    /// True while the loop waits (or is about to) on its poller. Set only
-    /// under the queue lock; cleared by the loop when it wakes and by the
-    /// first post that rings.
+    /// True while the node is parked (or about to be). Set only under the
+    /// queue lock; cleared by the reactor when it drives the node and by
+    /// the first post that rings.
     parked: AtomicBool,
     bell: Waker,
     /// Every write to the bell, by posts and by [`InboxRx::ring`].
@@ -93,8 +93,8 @@ pub(crate) fn inbox(rings: Counter) -> io::Result<(InboxTx, InboxRx)> {
 }
 
 impl InboxTx {
-    /// Queues `ev`, ringing the bell if the loop is parked. Hands `ev`
-    /// back if the loop has exited.
+    /// Queues `ev`, ringing the bell if the node is parked. Hands `ev`
+    /// back if the node has shut down.
     pub(crate) fn send(&self, ev: NodeEvent) -> Result<(), NodeEvent> {
         {
             let mut q = self.shared.queue.lock();
@@ -115,7 +115,7 @@ impl InboxTx {
 }
 
 impl InboxRx {
-    /// The eventfd the loop registers with its poller.
+    /// The eventfd the node registers with its poller.
     pub(crate) fn bell(&self) -> &Waker {
         &self.shared.bell
     }
@@ -127,8 +127,8 @@ impl InboxRx {
         out.extend(q.events.drain(..n));
     }
 
-    /// Publishes that the loop is about to wait, unless events are already
-    /// queued. Returns whether the loop may wait: after `true` every post
+    /// Publishes that the node is about to be parked, unless events are
+    /// already queued. Returns whether it may be: after `true` every post
     /// rings the bell until [`InboxRx::unpark`].
     pub(crate) fn park(&self) -> bool {
         let q = self.shared.queue.lock();
@@ -145,7 +145,7 @@ impl InboxRx {
     }
 
     /// Rings the bell whether or not a post would: a thread other than
-    /// the node thread changed what the parked loop waits for.
+    /// the reactor changed what the parked node waits for.
     pub(crate) fn ring(&self) {
         self.shared.ring();
     }

@@ -15,29 +15,44 @@
 //!   blocking. A caller whose grant needs anything else waits on its
 //!   thread's [`GrantSlot`], and whichever thread steps the grant writes
 //!   it there.
-//! * **The node thread.** It waits in exactly one place, its [`Poller`],
-//!   until the earliest pending deadline. The poller watches the inbox's
-//!   bell (an edge-triggered eventfd) and, on the TCP transport, every
-//!   socket of the node: its listener, the connections it accepted, and
-//!   its own outbound connection to each peer. It reads frames, fires
-//!   timers and handles control events (crash, recover, shutdown, fault
-//!   transitions); on the channel transport frames arrive in the inbox.
+//! * **A reactor.** A cluster runs one [`Reactor`] thread per CPU, at most
+//!   one per node; node `i` belongs to reactor `i mod P`. Each node keeps
+//!   its own [`Poller`], which watches the inbox's bell (an edge-triggered
+//!   eventfd) and, on the TCP transport, every socket of the node: its
+//!   listener, the connections it accepted, and its own outbound
+//!   connection to each peer. The reactor registers every node poller it
+//!   serves in an epoll instance of its own and waits there, until the
+//!   earliest deadline among its nodes. For each node that is ready or
+//!   due it takes the core, reads frames, fires timers and handles
+//!   control events (crash, recover, shutdown, fault transitions), then
+//!   parks the node again; on the channel transport frames arrive in the
+//!   inbox.
 //!
 //! Before a lock call steps its request it serves what already reached
-//! the node — ready sockets, with a zero-timeout wait on the same poller,
-//! and queued inbox events — so a REQUEST or a crash that arrived first is
-//! handled before the call's seal. A caller leaving the core rings the
-//! bell only if it left the node with a deadline earlier than the one the
-//! parked node thread waits for (or shut the node down): an uncontended
-//! lock cycle wakes nobody.
+//! the node — ready sockets, with a zero-timeout wait on the node's
+//! poller, and queued inbox events — so a REQUEST or a crash that arrived
+//! first is handled before the call's seal. A caller leaving the core
+//! rings the bell only if it left the node with a deadline earlier than
+//! the one the node is parked until (or shut the node down): an
+//! uncontended lock cycle wakes nobody.
+//!
+//! A grant for a waiter that sleeps is written into its slot only after
+//! the core is unlocked. On a busy CPU a woken waiter preempts the thread
+//! that woke it; woken under the lock, it would only block on the same
+//! core. A waiter that is awake (a caller granted its own request) gets
+//! its reply at once, which wakes nobody.
+//!
+//! A frame a node addresses to itself never reaches the network: it is
+//! delivered before the core is unlocked, in send order.
 
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener};
+use std::num::NonZeroUsize;
 use std::sync::{Arc, Condvar, PoisonError};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use tokq_obs::{span, Counter, Event, Histogram, Level, Obs, SpanGuard};
 use tokq_protocol::api::Protocol;
 use tokq_protocol::arbiter::{ArbiterMsg, ArbiterNode, ArbiterTimer};
@@ -73,7 +88,7 @@ const POLL_EVENTS: usize = 64;
 /// it can keep the CPU for whole scheduler slices (milliseconds) while a
 /// contending node's client, preempted between its PRIVILEGE and its next
 /// REQUEST, waits to run; this quiet period outlasts such a wait. Until
-/// it passes, the node thread fires the shard's timers, so a contended
+/// it passes, the node's reactor fires the shard's timers, so a contended
 /// grant costs its caller a wait and the contender gets the CPU.
 const QUIET: Duration = Duration::from_millis(20);
 
@@ -95,16 +110,18 @@ pub(crate) enum NodeEvent {
     Crash,
     /// Restart after a crash.
     Recover,
-    /// Stop the node: its thread exits and later lock calls fail.
+    /// Stop the node: its reactor stops driving it and later lock calls
+    /// fail.
     Shutdown,
 }
 
 /// Where a lock call waits for its reply. Each thread owns one and reuses
 /// it for every call it makes. A waiter entry holds the slot from the
-/// moment the call queues until a reply is written into it or the call
-/// withdraws the entry on timeout, both under the core lock, so a slot is
-/// in at most one queue at a time and a late grant can never land in a
-/// later call's slot.
+/// moment the call queues until its reply is decided or the call withdraws
+/// the entry on timeout, both under the core lock; a reply for a sleeping
+/// owner is written once the core is unlocked. A call that finds its
+/// entry gone waits for that write, so a slot is in at most one queue at
+/// a time and a late grant can never land in a later call's slot.
 #[derive(Default)]
 struct GrantSlot {
     state: std::sync::Mutex<SlotState>,
@@ -132,8 +149,16 @@ impl GrantSlot {
         }
     }
 
-    fn take(&self) -> Option<GrantReply> {
-        self.lock().reply.take()
+    /// Writes `reply` if the owner is awake: it takes the reply before it
+    /// would sleep, so the write wakes nobody. Hands `reply` back if the
+    /// owner sleeps, for a [`GrantSlot::fill`] once the core is unlocked.
+    fn fill_awake(&self, reply: GrantReply) -> Result<(), GrantReply> {
+        let mut state = self.lock();
+        if state.sleeping {
+            return Err(reply);
+        }
+        state.reply = Some(reply);
+        Ok(())
     }
 
     /// Waits until a reply is written or `deadline` passes (`None`: no
@@ -172,6 +197,15 @@ impl GrantSlot {
 thread_local! {
     /// The calling thread's [`GrantSlot`].
     static GRANT_SLOT: Arc<GrantSlot> = Arc::default();
+}
+
+/// Unlocks `core`, then wakes the sleeping waiters its steps replied to.
+fn unlock(mut core: MutexGuard<'_, NodeCore>) {
+    let fills = std::mem::take(&mut core.fills);
+    drop(core);
+    for (slot, reply) in fills {
+        slot.fill(reply);
+    }
 }
 
 /// Number of [`ArbiterTimer`] kinds.
@@ -370,12 +404,11 @@ impl HotObs {
 pub(crate) enum NodeNet {
     /// The in-process channel transport, shared by every node.
     Channel(Arc<ChannelTransport>),
-    /// Loopback TCP: this node's listener, every node's address (by id)
-    /// and the cluster's fault panel.
+    /// Loopback TCP: this node's listener and every node's address (by
+    /// id).
     Tcp {
         listener: TcpListener,
         peers: Vec<SocketAddr>,
-        panel: FaultPanel,
     },
 }
 
@@ -418,37 +451,19 @@ impl Net {
     }
 }
 
-/// Serves ready poller `tokens` of a TCP endpoint: reads the inbound
-/// sockets into `frames` and writes out the outbound ones. A token may be
-/// stale (another thread served the socket since the wait that reported
-/// it); serving it then finds nothing to do.
-fn serve_tokens(
-    poller: &Poller,
-    inbound: &mut Inbound,
-    outbound: &mut Outbound,
-    tokens: impl Iterator<Item = u64>,
-    frames: &mut Vec<(NodeId, Bytes)>,
-) {
-    for token in tokens {
-        if token >= Outbound::FIRST_TOKEN {
-            outbound.ready(poller, token);
-        } else if token != BELL {
-            inbound.ready(poller, token, frames);
-        }
-    }
-}
-
-/// What the node thread published about its wait.
+/// What the node's reactor published about the node.
 #[derive(Clone, Copy)]
 enum LoopState {
-    /// Running, or about to take the core: it looks at every deadline
-    /// before it waits again.
+    /// Being driven, or about to be: the reactor looks at every deadline
+    /// before it parks the node again.
     Running,
-    /// Waiting on the poller until this deadline (`None`: until woken).
+    /// Parked until this deadline (`None`: until its poller reports).
     Parked(Option<Instant>),
+    /// Shut down: no reactor drives the node any more.
+    Closed,
 }
 
-/// One node of the cluster, shared by its thread and every handle that
+/// One node of the cluster, shared by its reactor and every handle that
 /// locks through it.
 pub(crate) struct Node {
     core: Mutex<NodeCore>,
@@ -462,9 +477,9 @@ impl std::fmt::Debug for Node {
 }
 
 impl Node {
-    /// A node running `shards`, fed by `inbox` and sending and receiving
-    /// over `net`. Every shard is started; run the node's thread with
-    /// [`Node::run`].
+    /// A node running `shards`, fed by `inbox`, sending and receiving over
+    /// `net` and consulting `panel` for injected loss. Every shard is
+    /// started; a [`Reactor`] drives the node.
     ///
     /// # Errors
     ///
@@ -474,6 +489,7 @@ impl Node {
         shards: Vec<ArbiterNode>,
         inbox: InboxRx,
         net: NodeNet,
+        panel: FaultPanel,
         metrics: Arc<ClusterMetrics>,
     ) -> std::io::Result<Self> {
         assert!(!shards.is_empty(), "a node runs at least one shard");
@@ -486,13 +502,9 @@ impl Node {
         poller.register(inbox.bell(), BELL, Interest::READABLE.edge())?;
         let net = match net {
             NodeNet::Channel(transport) => Net::Channel(transport),
-            NodeNet::Tcp {
-                listener,
-                peers,
-                panel,
-            } => Net::Tcp {
+            NodeNet::Tcp { listener, peers } => Net::Tcp {
                 inbound: Inbound::new(listener, &poller)?,
-                outbound: Outbound::new(id, peers, &obs, panel),
+                outbound: Outbound::new(id, peers, &obs, panel.clone()),
             },
         };
         let mut core = NodeCore {
@@ -505,8 +517,10 @@ impl Node {
             poller: Arc::clone(&poller),
             events: Events::with_capacity(POLL_EVENTS),
             net,
-            frames: Vec::new(),
+            panel,
+            frames: VecDeque::new(),
             backlog: VecDeque::new(),
+            fills: Vec::new(),
             metrics,
             obs,
             hot,
@@ -523,32 +537,29 @@ impl Node {
         })
     }
 
-    /// The node thread: serves the inbox, fires due timers, then waits on
-    /// the poller until the earliest deadline and serves what it reports,
-    /// until the node shuts down.
-    pub(crate) fn run(&self) {
-        let mut events = Events::with_capacity(POLL_EVENTS);
+    /// One reactor visit, to a node whose poller was reported or whose
+    /// deadline passed: serves the ready sockets and the inbox, fires what
+    /// fell due and parks the node again. Returns the node's new state,
+    /// [`LoopState::Parked`] or [`LoopState::Closed`].
+    fn drive(&self) -> LoopState {
         let mut core = self.core.lock();
-        loop {
+        core.inbox.unpark();
+        // A bell among the ready tokens was meant for this reactor, which
+        // is serving the node now: nothing to hand on.
+        core.poll_ready();
+        let state = loop {
             core.serve_inbox();
             if core.closed {
-                return;
+                break LoopState::Closed;
             }
             let deadline = core.settle();
-            if !core.inbox.park() {
-                continue;
+            if core.inbox.park() {
+                break LoopState::Parked(deadline);
             }
-            core.state = LoopState::Parked(deadline);
-            drop(core);
-            let timeout = deadline.map(|at| at.saturating_duration_since(Instant::now()));
-            self.poller
-                .wait(&mut events, timeout)
-                .expect("waiting on the node's own epoll instance");
-            core = self.core.lock();
-            core.inbox.unpark();
-            core.state = LoopState::Running;
-            core.serve_events(&events);
-        }
+        };
+        core.state = state;
+        unlock(core);
+        state
     }
 
     /// Requests the lock on `shard` and waits up to `timeout` (`None`: for
@@ -560,11 +571,14 @@ impl Node {
             let mut core = self.core.lock();
             // What reached the node before this call is handled before
             // the call's seal.
-            core.poll_ready();
+            if matches!(core.net, Net::Tcp { .. }) && core.poll_ready() {
+                // The wakeup was meant for the node's reactor: hand it on.
+                core.inbox.ring();
+            }
             core.serve_inbox();
             let queued = core.enqueue(shard, slot);
             core.leave(shard);
-            drop(core);
+            unlock(core);
             queued?;
             if let Some(reply) = slot.wait(deadline) {
                 return reply;
@@ -572,14 +586,14 @@ impl Node {
             let mut core = self.core.lock();
             let withdrawn = core.withdraw(shard, slot);
             core.leave(shard);
-            drop(core);
+            unlock(core);
             if withdrawn {
                 Err(LockError::Timeout)
             } else {
-                // The reply was written between the timeout and the
-                // withdrawal.
-                slot.take()
-                    .expect("a waiter leaves its queue only with a reply")
+                // The reply was decided between the timeout and the
+                // withdrawal, and is written once its core is unlocked.
+                slot.wait(None)
+                    .expect("a wait without deadline ends with a reply")
             }
         })
     }
@@ -593,6 +607,82 @@ impl Node {
         core.serve_inbox();
         core.release(shard, gen);
         core.leave(shard);
+        unlock(core);
+    }
+}
+
+/// How many reactor threads drive a cluster of `n` nodes: one per CPU
+/// this process may run on, and no more than there are nodes.
+pub(crate) fn reactor_count(n: usize) -> usize {
+    let cpus = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    n.min(cpus)
+}
+
+/// A thread driving a share of a cluster's nodes. It waits on an epoll
+/// instance of its own, in which each of its nodes' pollers is registered
+/// level-triggered under the node's index in [`Reactor::nodes`]: one
+/// wakeup covers every node that is ready.
+pub(crate) struct Reactor {
+    epoll: Poller,
+    nodes: Vec<Arc<Node>>,
+}
+
+impl Reactor {
+    /// A reactor driving `nodes`.
+    ///
+    /// # Errors
+    ///
+    /// Creating its epoll instance or registering a node's poller with it
+    /// (the descriptor limit, in practice).
+    pub(crate) fn new(nodes: Vec<Arc<Node>>) -> std::io::Result<Self> {
+        let epoll = Poller::new()?;
+        for (i, node) in nodes.iter().enumerate() {
+            epoll.register(&*node.poller, i as u64, Interest::READABLE)?;
+        }
+        Ok(Reactor { epoll, nodes })
+    }
+
+    /// The reactor thread: drives every node once, then waits until a
+    /// node's poller is ready or the earliest deadline among its nodes
+    /// passes, and drives exactly those nodes, until every node has shut
+    /// down. A node that is neither ready nor due is left parked: its core
+    /// stays free for its lock callers.
+    pub(crate) fn run(self) {
+        let mut ready = Events::with_capacity(POLL_EVENTS);
+        let mut states = vec![LoopState::Running; self.nodes.len()];
+        let mut visit: Vec<usize> = (0..self.nodes.len()).collect();
+        loop {
+            for &i in &visit {
+                states[i] = self.nodes[i].drive();
+                if matches!(states[i], LoopState::Closed) {
+                    // Lock handles keep the node's poller open.
+                    let _ = self.epoll.deregister(&*self.nodes[i].poller);
+                }
+            }
+            if states.iter().all(|s| matches!(s, LoopState::Closed)) {
+                return;
+            }
+            let deadline = states
+                .iter()
+                .filter_map(|s| match s {
+                    LoopState::Parked(at) => *at,
+                    _ => None,
+                })
+                .min();
+            let timeout = deadline.map(|at| at.saturating_duration_since(Instant::now()));
+            self.epoll
+                .wait(&mut ready, timeout)
+                .expect("waiting on the reactor's own epoll instance");
+            let now = Instant::now();
+            visit.clear();
+            visit.extend(ready.tokens().map(|token| token as usize));
+            for (i, state) in states.iter().enumerate() {
+                if matches!(state, LoopState::Parked(Some(at)) if *at <= now) && !visit.contains(&i)
+                {
+                    visit.push(i);
+                }
+            }
+        }
     }
 }
 
@@ -607,15 +697,21 @@ struct NodeCore {
     /// Inbox events taken and not yet handled (kept for its capacity).
     incoming: VecDeque<NodeEvent>,
     poller: Arc<Poller>,
-    /// Lock callers' zero-timeout poller waits land here.
+    /// Zero-timeout waits on the node's poller land here.
     events: Events,
     net: Net,
-    /// Frames read from the sockets and not yet delivered.
-    frames: Vec<(NodeId, Bytes)>,
+    /// Rolls injected loss for frames this node sends itself.
+    panel: FaultPanel,
+    /// Frames read from the sockets or sent to this node itself, not yet
+    /// delivered.
+    frames: VecDeque<(NodeId, Bytes)>,
     /// Grants whose waiter was gone (withdrawn on timeout) and that are
     /// released as soon as the step that made them is done: `(shard,
     /// generation)`.
     backlog: VecDeque<(ShardId, u64)>,
+    /// Replies for waiters that sleep, written once the core is unlocked
+    /// (see [`unlock`]).
+    fills: Vec<(Arc<GrantSlot>, GrantReply)>,
     metrics: Arc<ClusterMetrics>,
     obs: Obs,
     hot: HotObs,
@@ -625,51 +721,42 @@ struct NodeCore {
 }
 
 impl NodeCore {
-    /// Reads every socket that is ready now and delivers its frames.
-    fn poll_ready(&mut self) {
-        let Net::Tcp { inbound, outbound } = &mut self.net else {
-            return;
-        };
+    /// Takes what the node's poller reports now: reads the ready sockets
+    /// and writes out the ready outbound ones, and delivers the frames
+    /// read. Returns whether the inbox bell was among the ready tokens
+    /// (the wait consumed its edge).
+    ///
+    /// A token may be stale (another thread served the socket since it
+    /// became ready); serving it then finds nothing to do.
+    fn poll_ready(&mut self) -> bool {
         let ready = self
             .poller
             .wait(&mut self.events, Some(Duration::ZERO))
             .expect("polling the node's own epoll instance");
-        if ready > 0 {
-            if self.events.tokens().any(|token| token == BELL) {
-                // The wakeup was meant for the node thread: hand it on.
-                self.inbox.ring();
-            }
-            serve_tokens(
-                &self.poller,
-                inbound,
-                outbound,
-                self.events.tokens(),
-                &mut self.frames,
-            );
-            self.deliver_frames();
+        if ready == 0 {
+            return false;
         }
-    }
-
-    /// Serves the sockets a node-thread wait found ready.
-    fn serve_events(&mut self, events: &Events) {
-        if let Net::Tcp { inbound, outbound } = &mut self.net {
-            serve_tokens(
-                &self.poller,
-                inbound,
-                outbound,
-                events.tokens(),
-                &mut self.frames,
-            );
+        let mut bell = false;
+        for token in self.events.tokens() {
+            match &mut self.net {
+                _ if token == BELL => bell = true,
+                Net::Tcp { outbound, .. } if token >= Outbound::FIRST_TOKEN => {
+                    outbound.ready(&self.poller, token);
+                }
+                Net::Tcp { inbound, .. } => inbound.ready(&self.poller, token, &mut self.frames),
+                Net::Channel(_) | Net::Closed => {}
+            }
         }
         self.deliver_frames();
+        bell
     }
 
+    /// Delivers queued frames in order until none is left: a delivery
+    /// can queue a frame this node sends itself.
     fn deliver_frames(&mut self) {
-        let mut frames = std::mem::take(&mut self.frames);
-        for (from, frame) in frames.drain(..) {
+        while let Some((from, frame)) = self.frames.pop_front() {
             self.deliver(from, frame);
         }
-        self.frames = frames;
     }
 
     /// Handles every queued inbox event, in order.
@@ -687,16 +774,23 @@ impl NodeCore {
                 NodeEvent::Recover => self.recover(),
                 NodeEvent::Shutdown => self.shut_down(),
             }
+            self.deliver_frames();
         }
     }
 
-    /// Releases the grants of vanished waiters and fires every due timer,
-    /// earliest first, then acts on due transport deadlines. Returns the
-    /// earliest deadline still pending.
+    /// Delivers the frames this node sent itself, releases the grants of
+    /// vanished waiters and fires every due timer, earliest first, then
+    /// acts on due transport deadlines. Returns the earliest deadline
+    /// still pending.
     fn settle(&mut self) -> Option<Instant> {
         loop {
-            while let Some((shard, gen)) = self.backlog.pop_front() {
+            if let Some((from, frame)) = self.frames.pop_front() {
+                self.deliver(from, frame);
+                continue;
+            }
+            if let Some((shard, gen)) = self.backlog.pop_front() {
                 self.release(shard, gen);
+                continue;
             }
             let now = Instant::now();
             match self.timers.earliest() {
@@ -718,10 +812,11 @@ impl NodeCore {
         }
     }
 
-    /// Finishes a lock caller's visit to `shard`: fires what fell due if
-    /// the shard is quiet, and rings the bell if the parked node thread
-    /// must look at the node again.
+    /// Finishes a lock caller's visit to `shard`: delivers the frames the
+    /// node sent itself, fires what fell due if the shard is quiet, and
+    /// rings the bell if the node's reactor must look at it again.
     fn leave(&mut self, shard: ShardId) {
+        self.deliver_frames();
         let next = if self
             .shards
             .get(shard.index())
@@ -748,8 +843,8 @@ impl NodeCore {
             .min()
     }
 
-    /// Rings the bell if the node thread is parked past `next` (the
-    /// node's earliest deadline now), or the node was shut down.
+    /// Rings the bell if the node is parked past `next` (the node's
+    /// earliest deadline now), or the node was shut down.
     fn wake_loop_before(&mut self, next: Option<Instant>) {
         let LoopState::Parked(until) = self.state else {
             return;
@@ -952,14 +1047,24 @@ impl NodeCore {
         self.inbox.close();
         self.incoming.clear();
         self.net = Net::Closed;
+        self.frames.clear();
         self.timers.clear();
         self.backlog.clear();
         for st in &mut self.shards {
             for (slot, _) in st.waiters.drain(..) {
-                slot.fill(Err(LockError::ShuttingDown));
+                self.fills.push((slot, Err(LockError::ShuttingDown)));
             }
             st.collection_span = None;
             st.forwarding_span = None;
+        }
+    }
+
+    /// Answers the waiter on `slot`. A waiter that sleeps is woken only
+    /// once the core is unlocked: on a busy CPU it would preempt this
+    /// thread and then block on the core this thread still holds.
+    fn reply(&mut self, slot: Arc<GrantSlot>, reply: GrantReply) {
+        if let Err(reply) = slot.fill_awake(reply) {
+            self.fills.push((slot, reply));
         }
     }
 
@@ -999,7 +1104,7 @@ impl NodeCore {
                     let cs_gen = st.cs_gen;
                     match st.waiters.pop_front() {
                         Some((slot, since)) => {
-                            slot.fill(Ok(cs_gen));
+                            self.reply(slot, Ok(cs_gen));
                             let waited = since.elapsed();
                             self.hot.cs_grant.record_duration(waited);
                             if self.obs.enabled(T_NODE, Level::Debug) {
@@ -1079,13 +1184,20 @@ impl NodeCore {
             );
         }
         match &mut self.net {
+            Net::Closed => {}
+            // Delivered before the core is unlocked, unless injected loss
+            // takes it as it would take a frame that leaves.
+            _ if to == self.id => {
+                if !self.panel.rolls_loss_drop() {
+                    self.frames.push_back((to, frame));
+                }
+            }
             Net::Channel(transport) => transport.send(Envelope {
                 from: self.id,
                 to,
                 frame,
             }),
             Net::Tcp { outbound, .. } => outbound.send(&self.poller, to, frame),
-            Net::Closed => {}
         }
     }
 }
@@ -1140,6 +1252,50 @@ mod tests {
             kinds[slot] = msg.kind();
         }
         assert!(kinds.iter().all(|k| !k.is_empty()));
+    }
+
+    /// A frame a TCP node sends itself must not connect to its own
+    /// listener: it is delivered from the frame queue, and a reply the
+    /// delivery sends itself is delivered in the same drain.
+    #[test]
+    fn a_frame_to_the_node_itself_opens_no_connection_and_arrives_once() {
+        use tokq_protocol::api::ProtocolFactory;
+        use tokq_protocol::arbiter::ArbiterConfig;
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback listener");
+        let peers = vec![listener.local_addr().expect("bound address")];
+        let metrics = ClusterMetrics::new();
+        let (_tx, rx) = crate::inbox::inbox(metrics.bell_ring_counter()).expect("eventfd");
+        let me = NodeId(0);
+        let node = Node::new(
+            vec![ArbiterConfig::fault_tolerant().build_shard(me, 1, 0)],
+            rx,
+            NodeNet::Tcp { listener, peers },
+            FaultPanel::detached(1),
+            Arc::clone(&metrics),
+        )
+        .expect("node");
+        let mut guard = node.core.lock();
+        let core = &mut *guard;
+        core.transmit(ShardId(0), me, &ArbiterMsg::Probe);
+        assert_eq!(core.frames.len(), 1, "queued for delivery, not sent");
+        core.deliver_frames();
+        let registry = metrics.obs().registry();
+        for kind in ["PROBE", "PROBE-ACK"] {
+            let handled = registry.histogram_with("handle_ns", kind).summary().count;
+            assert_eq!(handled, 1, "{kind} delivered {handled} times");
+            assert_eq!(metrics.by_kind().get(kind), Some(&1), "{kind} counted once");
+        }
+        let Net::Tcp { outbound, .. } = &core.net else {
+            panic!("a TCP node");
+        };
+        assert_eq!(outbound.pending_frames(), 0, "nothing waits for a link");
+        assert_eq!(outbound.resume_at(), None, "no connect in progress");
+        let ready = core
+            .poller
+            .wait(&mut core.events, Some(Duration::ZERO))
+            .expect("poll");
+        assert_eq!(ready, 0, "nothing connected to the node's listener");
+        assert_eq!(registry.counter("tcp_connects").get(), 0);
     }
 
     #[test]

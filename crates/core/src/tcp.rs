@@ -8,7 +8,7 @@
 //! node loop routes each to its protocol instance.
 //!
 //! Each node owns both halves of its endpoint, and neither has a thread:
-//! the node loop's [`Poller`] reports which of their sockets are ready.
+//! the node's [`Poller`] reports which of their sockets are ready.
 //!
 //! # Send path
 //!
@@ -56,7 +56,7 @@
 //! Each node owns an `Inbound`: the node's nonblocking listener and every
 //! connection it accepted, all registered with the node's [`Poller`],
 //! which also watches the node's inbox bell. When a connection is ready,
-//! the node thread (or a lock caller polling before its request) reads it
+//! the node's reactor (or a lock caller polling before its request) reads it
 //! into that connection's fixed 4 KiB buffer until a read comes back short
 //! or would block, and parses every complete frame out of it; the buffer
 //! grows only while a frame larger than itself is being assembled. The
@@ -666,7 +666,12 @@ impl Inbound {
     /// connection, or reads every frame a connection has ready into
     /// `frames`. A connection that ended, failed or sent a corrupt length
     /// is closed, which also ends its registration.
-    pub(crate) fn ready(&mut self, poller: &Poller, token: u64, frames: &mut Vec<(NodeId, Bytes)>) {
+    pub(crate) fn ready(
+        &mut self,
+        poller: &Poller,
+        token: u64,
+        frames: &mut impl Extend<(NodeId, Bytes)>,
+    ) {
         if token == LISTENER {
             self.accept_all(poller);
             return;
@@ -817,7 +822,11 @@ impl FrameReader {
     /// (the socket's receive queue was emptied), appending every complete
     /// frame to `out`. Returns `false` once the connection must close: end
     /// of stream, a read error, or a corrupt length.
-    fn read_available(&mut self, src: &mut impl Read, out: &mut Vec<(NodeId, Bytes)>) -> bool {
+    fn read_available(
+        &mut self,
+        src: &mut impl Read,
+        out: &mut impl Extend<(NodeId, Bytes)>,
+    ) -> bool {
         loop {
             let room = self.make_room();
             let n = match src.read(&mut self.buf[self.end..]) {
@@ -829,7 +838,7 @@ impl FrameReader {
             self.end += n;
             loop {
                 match self.next_frame() {
-                    Ok(Some(frame)) => out.push(frame),
+                    Ok(Some(frame)) => out.extend([frame]),
                     Ok(None) => break,
                     Err(CorruptFrame) => return false,
                 }

@@ -93,7 +93,7 @@ pub(crate) struct Envelope {
 ///
 /// Frames pass through a dedicated network thread when any delay, jitter,
 /// or loss is configured; otherwise the thread stepping the sending node
-/// (its node thread or a lock caller) posts them itself.
+/// (its reactor or a lock caller) posts them itself.
 pub(crate) struct ChannelTransport {
     inboxes: Vec<InboxTx>,
     net_tx: Option<Sender<Envelope>>,

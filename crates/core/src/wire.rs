@@ -1,6 +1,6 @@
 //! Hand-rolled binary wire codec for arbiter protocol messages.
 //!
-//! The runtime moves messages between node threads as opaque byte frames,
+//! The runtime moves messages between nodes as opaque byte frames,
 //! exactly as a socket transport would, so the encode/decode path is
 //! exercised by every cluster test. The format is a compact tagged binary
 //! encoding over [`bytes`]; a one-byte version prefix guards against

@@ -10,6 +10,9 @@
 //! * [`Poller`] — an epoll instance. Register, modify and deregister a
 //!   file descriptor under a `u64` token, then [`Poller::wait`] for
 //!   readiness with an optional timeout.
+//!   A poller is itself a descriptor ([`AsFd`]): registered with another
+//!   poller, it reads as ready while any of its own registrations is, so
+//!   one thread can wait on many pollers at once.
 //! * [`Waker`] — an eventfd. Registered with a poller, it lets another
 //!   thread end that poller's wait.
 //! * [`connect_nonblocking`] — starts a TCP connect without waiting for
@@ -325,6 +328,17 @@ impl Poller {
     }
 }
 
+/// The epoll descriptor: registered [`Interest::READABLE`] with another
+/// poller, it is reported while a wait on this poller would report
+/// something. An edge-triggered registration of this poller stops
+/// counting once a wait here has reported it; a level-triggered one stops
+/// once its descriptor is no longer ready.
+impl AsFd for Poller {
+    fn as_fd(&self) -> BorrowedFd<'_> {
+        self.fd.as_fd()
+    }
+}
+
 /// An eventfd that ends the wait of a [`Poller`] it is registered with,
 /// from any thread. Closed on drop.
 ///
@@ -538,6 +552,54 @@ mod tests {
         assert_eq!(tokens(&events), [7]);
         assert!(started.elapsed() < Duration::from_secs(5));
         t.join().expect("waker thread");
+    }
+
+    #[test]
+    fn a_nested_poller_is_ready_exactly_while_its_own_wait_would_report() {
+        let outer = Poller::new().expect("outer poller");
+        let inner = Poller::new().expect("inner poller");
+        let waker = Waker::new().expect("eventfd");
+        let (mut client, server) = socket_pair();
+        inner
+            .register(&waker, 1, Interest::READABLE.edge())
+            .expect("register waker");
+        inner
+            .register(&server, 2, Interest::READABLE)
+            .expect("register socket");
+        outer
+            .register(&inner, 9, Interest::READABLE)
+            .expect("register inner poller");
+        let mut events = Events::with_capacity(4);
+        let idle = |outer: &Poller, events: &mut Events| {
+            outer.wait(events, Some(Duration::ZERO)).expect("poll") == 0
+        };
+        assert!(idle(&outer, &mut events));
+        // A wake makes the inner poller ready until a wait there takes it.
+        waker.wake().expect("wake");
+        assert_eq!(outer.wait(&mut events, LONG).expect("wait"), 1);
+        assert_eq!(tokens(&events), [9]);
+        assert_eq!(
+            inner.wait(&mut events, Some(Duration::ZERO)).expect("poll"),
+            1
+        );
+        assert!(idle(&outer, &mut events), "the edge was consumed");
+        // A readable socket keeps it ready until the data is read.
+        client.write_all(b"x").expect("write");
+        assert_eq!(outer.wait(&mut events, LONG).expect("wait"), 1);
+        assert_eq!(
+            inner.wait(&mut events, Some(Duration::ZERO)).expect("poll"),
+            1
+        );
+        assert_eq!(tokens(&events), [2]);
+        assert_eq!(
+            outer.wait(&mut events, Some(Duration::ZERO)).expect("poll"),
+            1
+        );
+        (&server).read_exact(&mut [0u8; 1]).expect("read");
+        assert!(idle(&outer, &mut events), "nothing left to report");
+        outer.deregister(&inner).expect("deregister inner poller");
+        waker.wake().expect("wake");
+        assert!(idle(&outer, &mut events), "deregistered");
     }
 
     #[test]

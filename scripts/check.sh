@@ -63,9 +63,9 @@ cargo run --release --quiet --example chaos_smoke
 echo "==> tcp pipeline: head-of-line regression + wire-codec fuzz"
 cargo test -q --test tcp_pipeline
 
-echo "==> reactor: n node threads, no writers (5- and 32-node TCP, channel) + socket census + lost-wakeup stress"
-# A thread per connection or peer, a leaked socket, or a wedged node loop
-# fails here.
+echo "==> reactor: one thread per CPU, no writers (5- and 32-node TCP, channel) + socket census + reactor-mate isolation + lost-wakeup stress"
+# A thread per node, connection or peer, a leaked socket, or a wedged
+# reactor fails here.
 cargo test -q --test reactor
 
 echo "==> caller-driven locks: release build, then the contended TCP split twice"
@@ -74,6 +74,11 @@ echo "==> caller-driven locks: release build, then the contended TCP split twice
 cargo test --release -q --test caller_driven
 cargo test --release -q --test self_grant
 cargo test --release -q --test self_grant
+
+echo "==> one CPU: every node on one reactor, as in the perfbench runs"
+# available_parallelism follows the affinity mask, so one reactor drives
+# every node of each cluster, the shape perfbench measures.
+taskset -c 0 cargo test --release -q --test reactor --test caller_driven --test self_grant
 
 echo "==> tcp bench smoke: grant latency, healthy vs one peer dead"
 cargo run --release --quiet -p tokq-bench --bin tcp_pipeline -- --rounds 3

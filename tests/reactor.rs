@@ -1,15 +1,18 @@
-//! The node loop's single wait: each node thread polls its own inbox bell,
-//! listener, accepted connections and outbound connections, with no
-//! reader, accept, writer or pump threads.
+//! The reactors: a cluster runs one thread per CPU (at most one per
+//! node), each waiting on every node it drives at once — each node's
+//! inbox bell, listener, accepted connections and outbound connections —
+//! with no reader, accept, writer or pump threads.
 //!
 //! The tests in this file share one process-wide thread and socket
 //! census, so they run one at a time.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Mutex;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
+use std::thread;
+use std::time::{Duration, Instant};
 
-use tokq::core::{Cluster, ClusterBuilder};
+use tokq::core::{Cluster, ClusterBuilder, LockError};
 use tokq::protocol::arbiter::ArbiterConfig;
 use tokq::protocol::types::TimeDelta;
 
@@ -22,8 +25,8 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
 }
 
 /// Live threads of this process whose name starts with `tokq-`, counted by
-/// name with trailing digits dropped (`tokq-node-3` counts as
-/// `tokq-node-`).
+/// name with trailing digits dropped (`tokq-node-r3` counts as
+/// `tokq-node-r`).
 #[cfg(target_os = "linux")]
 fn tokq_threads() -> BTreeMap<String, usize> {
     let mut census = BTreeMap::new();
@@ -102,8 +105,15 @@ fn outbound_connections() -> usize {
         .count()
 }
 
+/// Reactor threads a cluster of `n` nodes runs: one per CPU this process
+/// may run on, at most one per node.
+fn reactors(n: usize) -> usize {
+    let cpus = thread::available_parallelism().map_or(1, |p| p.get());
+    n.min(cpus)
+}
+
 /// Locks once through every node of a cluster of `n`, then checks that
-/// it runs one node thread per node and nothing else, and that shutdown
+/// it runs one reactor thread per CPU and nothing else, and that shutdown
 /// joins them all.
 #[cfg(target_os = "linux")]
 fn census_after_locking_through_every_node(builder: ClusterBuilder, n: usize, what: &str) {
@@ -116,7 +126,7 @@ fn census_after_locking_through_every_node(builder: ClusterBuilder, n: usize, wh
             .unwrap_or_else(|e| panic!("{what}: lock through node {node}: {e}"));
         drop(guard);
     }
-    let expected = BTreeMap::from([("tokq-node-".to_owned(), n)]);
+    let expected = BTreeMap::from([("tokq-node-r".to_owned(), reactors(n))]);
     assert_eq!(tokq_threads(), expected, "{what}");
     let outbound = outbound_connections();
     assert!(
@@ -132,7 +142,7 @@ fn census_after_locking_through_every_node(builder: ClusterBuilder, n: usize, wh
 
 #[cfg(target_os = "linux")]
 #[test]
-fn tcp_clusters_run_one_thread_per_node() {
+fn tcp_clusters_run_one_thread_per_cpu() {
     let _serial = serial();
     for n in [5, 32] {
         let what = format!("{n}-node TCP cluster");
@@ -142,9 +152,93 @@ fn tcp_clusters_run_one_thread_per_node() {
 
 #[cfg(target_os = "linux")]
 #[test]
-fn channel_clusters_run_one_thread_per_node() {
+fn channel_clusters_run_one_thread_per_cpu() {
     let _serial = serial();
     census_after_locking_through_every_node(Cluster::builder(5), 5, "5-node channel cluster");
+}
+
+/// Two nodes that share a reactor do not share their faults: while node 0
+/// crashes and recovers, a client locking through its reactor-mate sees
+/// no error, node 0's call queued before the crash is granted after the
+/// recovery, and shutting down with node 0 crashed again stays prompt.
+#[test]
+fn reactor_mates_keep_serving_while_one_crashes_and_recovers() {
+    const N: usize = 5;
+    let _serial = serial();
+    let p = reactors(N);
+    // Node p is on node 0's reactor. With a reactor per node no two share
+    // one; node 1 then stands in, and the crash isolation still holds.
+    let mate = if p < N { p } else { 1 };
+    let config = ArbiterConfig::fault_tolerant()
+        .with_t_collect(TimeDelta::ZERO)
+        .with_t_forward(TimeDelta::from_micros(200));
+    let cluster = Cluster::builder(N).shards(2).config(config).tcp().build();
+    // Warm up: every node locks once, so each knows the arbiter.
+    for node in 0..N {
+        drop(
+            cluster
+                .handle(node)
+                .expect("in range")
+                .try_lock_for(Duration::from_secs(20))
+                .expect("warm-up lock"),
+        );
+    }
+    let busy = cluster.resource_on(mate, "busy").expect("in range");
+    let mut name = 0;
+    let held = loop {
+        let h = cluster
+            .resource_on(mate, format!("held{name}"))
+            .expect("in range");
+        if h.shard() != busy.shard() {
+            break h;
+        }
+        name += 1;
+    };
+    // The mate holds the other shard, so node 0's call on it waits.
+    let holder = held.lock().expect("granted");
+    let waiting = cluster
+        .resource_on(0, held.resource().clone())
+        .expect("in range");
+    let waiter = thread::spawn(move || waiting.try_lock_for(Duration::from_secs(30)));
+    let stop = Arc::new(AtomicBool::new(false));
+    let client = {
+        let stop = Arc::clone(&stop);
+        thread::spawn(move || -> (u64, Vec<LockError>) {
+            let (mut grants, mut errors) = (0, Vec::new());
+            while !stop.load(Ordering::Relaxed) {
+                match busy.try_lock_for(Duration::from_secs(5)) {
+                    Ok(guard) => {
+                        drop(guard);
+                        grants += 1;
+                    }
+                    Err(e) => errors.push(e),
+                }
+            }
+            (grants, errors)
+        })
+    };
+    thread::sleep(Duration::from_millis(100));
+    cluster.crash(0).expect("crash node 0");
+    thread::sleep(Duration::from_millis(100));
+    cluster.recover(0).expect("recover node 0");
+    thread::sleep(Duration::from_millis(100));
+    drop(holder);
+    let granted = waiter.join().expect("waiter thread");
+    assert!(granted.is_ok(), "node 0's queued call: {granted:?}");
+    drop(granted);
+    thread::sleep(Duration::from_millis(100));
+    stop.store(true, Ordering::Relaxed);
+    let (grants, errors) = client.join().expect("client thread");
+    assert!(errors.is_empty(), "node {mate}'s client saw {errors:?}");
+    assert!(grants > 0, "node {mate}'s client was never granted");
+    cluster.crash(0).expect("crash node 0 again");
+    let started = Instant::now();
+    cluster.shutdown();
+    assert!(
+        started.elapsed() < Duration::from_secs(2),
+        "shutdown with a dead peer took {:?}",
+        started.elapsed()
+    );
 }
 
 /// A lost wakeup strands a lock call in the inbox of a parked node until
