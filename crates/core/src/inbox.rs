@@ -11,6 +11,11 @@
 //! thread holds the node's core, the reactor or a lock caller, so events
 //! keep their order relative to the lock calls that follow them.
 //!
+//! Most visits find the inbox empty, so [`InboxRx::take`] first reads a
+//! `queued` flag that posts set under the queue's lock, and takes the lock
+//! only when the flag is set. A post that has not set the flag yet is
+//! concurrent with the take, as if it had taken the lock just after it.
+//!
 //! The park protocol closes the lost-wakeup window. [`InboxRx::park`]
 //! checks the queue and sets `parked` under the queue's lock, so a post
 //! either lands before the check (and the reactor does not park the
@@ -36,6 +41,11 @@ struct Queue {
 
 struct Shared {
     queue: Mutex<Queue>,
+    /// True while events are queued. Written only under the queue lock:
+    /// set by posts, cleared when the queue is drained or closed. A post's
+    /// `Release` store pairs with the `Acquire` load in [`InboxRx::take`];
+    /// the events themselves are read under the lock.
+    queued: AtomicBool,
     /// True while the node is parked (or about to be). Set only under the
     /// queue lock; cleared by the reactor when it drives the node and by
     /// the first post that rings.
@@ -80,6 +90,7 @@ pub(crate) fn inbox(rings: Counter) -> io::Result<(InboxTx, InboxRx)> {
             events: VecDeque::new(),
             closed: false,
         }),
+        queued: AtomicBool::new(false),
         parked: AtomicBool::new(false),
         bell: Waker::new()?,
         rings,
@@ -102,6 +113,7 @@ impl InboxTx {
                 return Err(ev);
             }
             q.events.push_back(ev);
+            self.shared.queued.store(true, Ordering::Release);
         }
         // The lock above orders this load after any `park` that found the
         // queue empty, so a set flag is visible here. The swap lets only
@@ -120,11 +132,18 @@ impl InboxRx {
         &self.shared.bell
     }
 
-    /// Moves up to `max` queued events to the back of `out`.
+    /// Moves up to `max` queued events to the back of `out`. An empty
+    /// inbox costs one atomic load.
     pub(crate) fn take(&self, out: &mut VecDeque<NodeEvent>, max: usize) {
+        if !self.shared.queued.load(Ordering::Acquire) {
+            return;
+        }
         let mut q = self.shared.queue.lock();
         let n = q.events.len().min(max);
         out.extend(q.events.drain(..n));
+        if q.events.is_empty() {
+            self.shared.queued.store(false, Ordering::Relaxed);
+        }
     }
 
     /// Publishes that the node is about to be parked, unless events are
@@ -155,6 +174,7 @@ impl InboxRx {
         let dropped = {
             let mut q = self.shared.queue.lock();
             q.closed = true;
+            self.shared.queued.store(false, Ordering::Relaxed);
             std::mem::take(&mut q.events)
         };
         drop(dropped);
@@ -223,6 +243,29 @@ mod tests {
                 .expect("poll"),
             1
         );
+    }
+
+    #[test]
+    fn a_post_from_another_thread_is_taken_by_the_next_take() {
+        let (tx, rx) = inbox(Counter::detached()).expect("eventfd");
+        let mut out = VecDeque::new();
+        rx.take(&mut out, 16);
+        assert!(out.is_empty());
+        std::thread::spawn(move || {
+            tx.send(NodeEvent::Crash).expect("open");
+            tx.send(NodeEvent::Recover).expect("open");
+        })
+        .join()
+        .expect("poster");
+        assert!(!rx.park(), "queued events keep the node awake");
+        rx.take(&mut out, 1);
+        assert!(matches!(out.pop_front(), Some(NodeEvent::Crash)));
+        assert!(!rx.park(), "a partial take leaves the rest queued");
+        rx.take(&mut out, 16);
+        assert!(matches!(out.pop_front(), Some(NodeEvent::Recover)));
+        rx.take(&mut out, 16);
+        assert!(out.is_empty(), "drained");
+        assert!(rx.park(), "an empty inbox may park");
     }
 
     #[test]

@@ -44,6 +44,17 @@
 //!
 //! A frame a node addresses to itself never reaches the network: it is
 //! delivered before the core is unlocked, in send order.
+//!
+//! A visit to the core (a caller's acquire, release or timeout withdrawal,
+//! or a reactor's [`Node::drive`]) reads the clock once, when it takes the
+//! core: every deadline, waiter timestamp, [`QUIET`] check, `cs_grant`
+//! wait and phase span of the visit uses that *visit clock*, so a grant
+//! made in its request's visit records a `cs_grant` wait of 0. Only
+//! `handle_ns` times a delivered frame's step with two reads of its own.
+//! Nor does a visit allocate once warm: steps append to one reused action
+//! buffer ([`ArbiterNode::step_into`]), timers live in a preallocated
+//! [`TimerTable`], and the phase spans are timestamps recorded into
+//! cached histograms.
 
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener};
@@ -53,7 +64,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use parking_lot::{Mutex, MutexGuard};
-use tokq_obs::{span, Counter, Event, Histogram, Level, Obs, SpanGuard};
+use tokq_obs::{Counter, Event, Histogram, Level, Obs};
 use tokq_protocol::api::Protocol;
 use tokq_protocol::arbiter::{ArbiterMsg, ArbiterNode, ArbiterTimer};
 use tokq_protocol::event::{Action, Input, Note};
@@ -241,14 +252,30 @@ fn timer_slot(timer: ArbiterTimer) -> usize {
 /// Setting a timer replaces its deadline and cancelling clears it, so a
 /// re-armed timer fires once, at its last arming, and the table never
 /// grows past `shards × TIMER_KINDS` entries.
+///
+/// The armed slots also sit in a binary min-heap ordered by (deadline,
+/// slot), indexed by slot, so setting, cancelling or taking a timer costs
+/// O(log armed) and finding the earliest costs O(1), however many shards
+/// sit idle.
 struct TimerTable {
+    /// Deadline of every slot, `None` while unarmed.
     due: Vec<Option<Instant>>,
+    /// The armed slots, heap-ordered by (deadline, slot).
+    heap: Vec<u32>,
+    /// Position of every armed slot in `heap`; [`UNARMED`] otherwise.
+    at: Vec<u32>,
 }
+
+/// [`TimerTable::at`] of a slot that is not in the heap.
+const UNARMED: u32 = u32::MAX;
 
 impl TimerTable {
     fn new(shards: usize) -> Self {
+        let slots = shards * TIMER_KINDS;
         TimerTable {
-            due: vec![None; shards * TIMER_KINDS],
+            due: vec![None; slots],
+            heap: Vec::with_capacity(slots),
+            at: vec![UNARMED; slots],
         }
     }
 
@@ -257,34 +284,95 @@ impl TimerTable {
     }
 
     fn set(&mut self, shard: ShardId, timer: ArbiterTimer, due: Instant) {
-        self.due[Self::slot(shard, timer)] = Some(due);
+        let slot = Self::slot(shard, timer);
+        self.due[slot] = Some(due);
+        let pos = match self.at[slot] {
+            UNARMED => {
+                self.heap.push(slot as u32);
+                self.heap.len() - 1
+            }
+            pos => pos as usize,
+        };
+        self.at[slot] = pos as u32;
+        self.sift(pos);
     }
 
     fn cancel(&mut self, shard: ShardId, timer: ArbiterTimer) {
-        self.due[Self::slot(shard, timer)] = None;
+        self.disarm(Self::slot(shard, timer));
     }
 
     fn clear(&mut self) {
-        self.due.fill(None);
+        for slot in self.heap.drain(..) {
+            self.due[slot as usize] = None;
+            self.at[slot as usize] = UNARMED;
+        }
     }
 
     /// The slot and deadline of the earliest pending timer (the lowest
     /// slot among equal deadlines).
     fn earliest(&self) -> Option<(usize, Instant)> {
-        self.due
-            .iter()
-            .enumerate()
-            .filter_map(|(slot, due)| due.map(|due| (slot, due)))
-            .min_by_key(|&(_, due)| due)
+        let slot = *self.heap.first()? as usize;
+        Some((slot, self.due[slot].expect("a slot in the heap is armed")))
     }
 
     /// Clears `slot` and names the timer it held.
     fn take(&mut self, slot: usize) -> (ShardId, ArbiterTimer) {
-        self.due[slot] = None;
+        self.disarm(slot);
         (
             ShardId((slot / TIMER_KINDS) as u16),
             TIMERS[slot % TIMER_KINDS],
         )
+    }
+
+    fn disarm(&mut self, slot: usize) {
+        let pos = std::mem::replace(&mut self.at[slot], UNARMED);
+        self.due[slot] = None;
+        if pos == UNARMED {
+            return;
+        }
+        let last = self.heap.pop().expect("an armed slot is in the heap");
+        if (pos as usize) < self.heap.len() {
+            self.heap[pos as usize] = last;
+            self.at[last as usize] = pos;
+            self.sift(pos as usize);
+        }
+    }
+
+    /// Whether the slot at heap position `a` fires before the one at `b`:
+    /// the earlier deadline, or the lower slot on a tie.
+    fn less(&self, a: usize, b: usize) -> bool {
+        let key = |pos: usize| (self.due[self.heap[pos] as usize], self.heap[pos]);
+        key(a) < key(b)
+    }
+
+    /// Moves the slot at heap position `pos` up or down to its place.
+    fn sift(&mut self, mut pos: usize) {
+        while pos > 0 && self.less(pos, (pos - 1) / 2) {
+            self.swap(pos, (pos - 1) / 2);
+            pos = (pos - 1) / 2;
+        }
+        loop {
+            let left = 2 * pos + 1;
+            let right = left + 1;
+            let mut least = pos;
+            if left < self.heap.len() && self.less(left, least) {
+                least = left;
+            }
+            if right < self.heap.len() && self.less(right, least) {
+                least = right;
+            }
+            if least == pos {
+                return;
+            }
+            self.swap(pos, least);
+            pos = least;
+        }
+    }
+
+    fn swap(&mut self, a: usize, b: usize) {
+        self.heap.swap(a, b);
+        self.at[self.heap[a] as usize] = a as u32;
+        self.at[self.heap[b] as usize] = b as u32;
     }
 }
 
@@ -296,12 +384,8 @@ struct ShardState {
     /// (for the CS-grant latency histogram). Waiters survive a crash: on
     /// recovery the node re-requests the lock on their behalf.
     waiters: VecDeque<(Arc<GrantSlot>, Instant)>,
-    /// Open `request_collection` span while this shard's arbiter window
-    /// collects requests (closed by the Q-list seal).
-    collection_span: Option<SpanGuard>,
-    /// Open `forwarding_phase` span while this shard relays late requests
-    /// to its successor.
-    forwarding_span: Option<SpanGuard>,
+    /// When each open [`Phase`] opened, by `Phase as usize`.
+    phase_since: [Option<Instant>; PHASES],
     engaged: bool,
     in_cs: bool,
     /// When a request last arrived or the token last left or arrived.
@@ -314,21 +398,46 @@ struct ShardState {
 
 impl ShardState {
     /// Whether lock callers fire this shard's due timers themselves: no
-    /// other node has wanted its token for [`QUIET`].
-    fn inline(&self) -> bool {
-        self.contended_at.is_none_or(|at| at.elapsed() >= QUIET)
+    /// other node has wanted its token for [`QUIET`] by `now`.
+    fn inline(&self, now: Instant) -> bool {
+        self.contended_at
+            .is_none_or(|at| now.saturating_duration_since(at) >= QUIET)
     }
 
     fn new(protocol: ArbiterNode) -> Self {
         ShardState {
             protocol,
             waiters: VecDeque::new(),
-            collection_span: None,
-            forwarding_span: None,
+            phase_since: [None; PHASES],
             engaged: false,
             in_cs: false,
             contended_at: None,
             cs_gen: 0,
+        }
+    }
+}
+
+/// Number of [`Phase`]s.
+const PHASES: usize = 2;
+
+/// An arbiter phase timed as a span: its length goes into the
+/// `span_ns/<name>` histogram, and with `arbiter` traced at Debug it
+/// emits `span_open` and `span_close` events.
+#[derive(Clone, Copy)]
+enum Phase {
+    /// From a shard's first collected request to its Q-list seal.
+    Collection,
+    /// While a former arbiter relays late requests to its successor.
+    Forwarding,
+}
+
+impl Phase {
+    const ALL: [Phase; PHASES] = [Phase::Collection, Phase::Forwarding];
+
+    fn name(self) -> &'static str {
+        match self {
+            Phase::Collection => "request_collection",
+            Phase::Forwarding => "forwarding_phase",
         }
     }
 }
@@ -362,6 +471,8 @@ struct HotObs {
     wire_bytes_in: Counter,
     wire_bytes_out: Counter,
     cs_grant: Histogram,
+    /// `span_ns/<phase name>` by `Phase as usize`.
+    phase_ns: [Option<Histogram>; PHASES],
     /// `handle_ns/<kind>` by [`kind_slot`].
     handle_ns: [Option<Histogram>; MSG_KINDS],
     /// `msg_sent/<kind>` by [`kind_slot`].
@@ -379,6 +490,7 @@ impl HotObs {
             wire_bytes_in: obs.registry().counter("wire_bytes_in"),
             wire_bytes_out: obs.registry().counter("wire_bytes_out"),
             cs_grant: obs.registry().histogram_with("span_ns", "cs_grant"),
+            phase_ns: Default::default(),
             handle_ns: Default::default(),
             msg_sent: Default::default(),
             notes: Vec::new(),
@@ -521,6 +633,8 @@ impl Node {
             frames: VecDeque::new(),
             backlog: VecDeque::new(),
             fills: Vec::new(),
+            actions: Vec::new(),
+            now: Instant::now(),
             metrics,
             obs,
             hot,
@@ -537,12 +651,20 @@ impl Node {
         })
     }
 
+    /// Takes the node's core for a visit and reads the visit clock: every
+    /// deadline, timestamp and span of the visit is taken from it.
+    fn visit(&self) -> MutexGuard<'_, NodeCore> {
+        let mut core = self.core.lock();
+        core.now = Instant::now();
+        core
+    }
+
     /// One reactor visit, to a node whose poller was reported or whose
     /// deadline passed: serves the ready sockets and the inbox, fires what
     /// fell due and parks the node again. Returns the node's new state,
     /// [`LoopState::Parked`] or [`LoopState::Closed`].
     fn drive(&self) -> LoopState {
-        let mut core = self.core.lock();
+        let mut core = self.visit();
         core.inbox.unpark();
         // A bell among the ready tokens was meant for this reactor, which
         // is serving the node now: nothing to hand on.
@@ -566,9 +688,9 @@ impl Node {
     /// ever) for the grant, returning its CS generation. Runs the
     /// request on the calling thread; see the [module docs](self).
     pub(crate) fn acquire(&self, shard: ShardId, timeout: Option<Duration>) -> GrantReply {
-        let deadline = timeout.and_then(|t| Instant::now().checked_add(t));
         GRANT_SLOT.with(|slot| {
-            let mut core = self.core.lock();
+            let mut core = self.visit();
+            let deadline = timeout.and_then(|t| core.now.checked_add(t));
             // What reached the node before this call is handled before
             // the call's seal.
             if matches!(core.net, Net::Tcp { .. }) && core.poll_ready() {
@@ -583,7 +705,7 @@ impl Node {
             if let Some(reply) = slot.wait(deadline) {
                 return reply;
             }
-            let mut core = self.core.lock();
+            let mut core = self.visit();
             let withdrawn = core.withdraw(shard, slot);
             core.leave(shard);
             unlock(core);
@@ -602,7 +724,7 @@ impl Node {
     /// `gen`, on the calling thread. A stale generation (the node crashed
     /// since the grant) releases nothing.
     pub(crate) fn release(&self, shard: ShardId, gen: u64) {
-        let mut core = self.core.lock();
+        let mut core = self.visit();
         // A crash posted before the release makes the release stale.
         core.serve_inbox();
         core.release(shard, gen);
@@ -712,6 +834,11 @@ struct NodeCore {
     /// Replies for waiters that sleep, written once the core is unlocked
     /// (see [`unlock`]).
     fills: Vec<(Arc<GrantSlot>, GrantReply)>,
+    /// The actions of the step being executed (kept for its capacity).
+    actions: Vec<Action<ArbiterMsg, ArbiterTimer>>,
+    /// The visit clock: read once when a thread takes the core (see
+    /// [`Node::visit`]).
+    now: Instant,
     metrics: Arc<ClusterMetrics>,
     obs: Obs,
     hot: HotObs,
@@ -792,16 +919,15 @@ impl NodeCore {
                 self.release(shard, gen);
                 continue;
             }
-            let now = Instant::now();
             match self.timers.earliest() {
-                Some((slot, due)) if due <= now => {
+                Some((slot, due)) if due <= self.now => {
                     let (shard, timer) = self.timers.take(slot);
                     if self.alive {
                         self.dispatch(shard, Input::Timer(timer));
                     }
                 }
                 timer => {
-                    self.net.resume_due(&self.poller, now);
+                    self.net.resume_due(&self.poller, self.now);
                     return timer
                         .map(|(_, due)| due)
                         .into_iter()
@@ -820,7 +946,7 @@ impl NodeCore {
         let next = if self
             .shards
             .get(shard.index())
-            .is_some_and(ShardState::inline)
+            .is_some_and(|st| st.inline(self.now))
         {
             self.settle()
         } else {
@@ -833,7 +959,7 @@ impl NodeCore {
     /// waiting to be auto-released is due now.
     fn next_deadline(&self) -> Option<Instant> {
         if !self.backlog.is_empty() {
-            return Some(Instant::now());
+            return Some(self.now);
         }
         self.timers
             .earliest()
@@ -875,7 +1001,7 @@ impl NodeCore {
         self.metrics.cs_requested(shard);
         self.shards[shard.index()]
             .waiters
-            .push_back((Arc::clone(slot), Instant::now()));
+            .push_back((Arc::clone(slot), self.now));
         self.pump_lock(shard);
         Ok(())
     }
@@ -944,15 +1070,15 @@ impl NodeCore {
                             .field("bytes", &(frame.len() as u64)),
                     );
                 }
-                let start = Instant::now();
                 if matches!(
                     msg,
                     ArbiterMsg::Request { .. }
                         | ArbiterMsg::MonitorSubmit { .. }
                         | ArbiterMsg::Privilege(_)
                 ) {
-                    self.shards[shard.index()].contended_at = Some(start);
+                    self.shards[shard.index()].contended_at = Some(self.now);
                 }
+                let start = Instant::now();
                 self.dispatch(shard, Input::Deliver { from, msg });
                 let elapsed = start.elapsed();
                 self.hot.handle_ns[slot]
@@ -1005,9 +1131,8 @@ impl NodeCore {
             // Waiters survive: their application threads are still
             // blocked on their grant slots, so the recovered node
             // re-requests on their behalf instead of stranding them.
-            st.collection_span = None;
-            st.forwarding_span = None;
         }
+        self.close_phases();
         self.timers.clear();
         self.backlog.clear();
         if self.obs.enabled(T_NODE, Level::Info) {
@@ -1054,8 +1179,56 @@ impl NodeCore {
             for (slot, _) in st.waiters.drain(..) {
                 self.fills.push((slot, Err(LockError::ShuttingDown)));
             }
-            st.collection_span = None;
-            st.forwarding_span = None;
+        }
+        self.close_phases();
+    }
+
+    /// Opens `phase` on `shard` at the visit clock. One already open
+    /// closes first.
+    fn open_phase(&mut self, shard: ShardId, phase: Phase) {
+        self.close_phase(shard, phase);
+        self.shards[shard.index()].phase_since[phase as usize] = Some(self.now);
+        if self.obs.enabled(T_ARBITER, Level::Debug) {
+            self.obs.emit(
+                Event::new(T_ARBITER, Level::Debug, "span_open")
+                    .node(u64::from(self.id.0))
+                    .shard(u64::from(shard.0))
+                    .field("span", &phase.name()),
+            );
+        }
+    }
+
+    /// Closes `phase` on `shard` if it is open: records its length up to
+    /// the visit clock.
+    fn close_phase(&mut self, shard: ShardId, phase: Phase) {
+        let Some(since) = self.shards[shard.index()].phase_since[phase as usize].take() else {
+            return;
+        };
+        let elapsed = self.now.saturating_duration_since(since);
+        self.hot.phase_ns[phase as usize]
+            .get_or_insert_with(|| self.obs.registry().histogram_with("span_ns", phase.name()))
+            .record_duration(elapsed);
+        if self.obs.enabled(T_ARBITER, Level::Debug) {
+            self.obs.emit(
+                Event::new(T_ARBITER, Level::Debug, "span_close")
+                    .node(u64::from(self.id.0))
+                    .shard(u64::from(shard.0))
+                    .field("span", &phase.name())
+                    .field(
+                        "dur_ns",
+                        &(elapsed.as_nanos().min(u128::from(u64::MAX)) as u64),
+                    ),
+            );
+        }
+    }
+
+    /// Closes every open phase of every shard (a crash or shutdown ends
+    /// them).
+    fn close_phases(&mut self) {
+        for s in 0..self.shards.len() {
+            for phase in Phase::ALL {
+                self.close_phase(ShardId(s as u16), phase);
+            }
         }
     }
 
@@ -1077,24 +1250,35 @@ impl NodeCore {
     }
 
     fn dispatch(&mut self, shard: ShardId, input: Input<ArbiterMsg, ArbiterTimer>) {
-        let actions = self.shards[shard.index()].protocol.step(input);
-        self.execute(shard, actions);
+        let mut actions = std::mem::take(&mut self.actions);
+        self.shards[shard.index()]
+            .protocol
+            .step_into(input, &mut actions);
+        self.execute(shard, &mut actions);
+        self.actions = actions;
     }
 
-    fn execute(&mut self, shard: ShardId, actions: Vec<Action<ArbiterMsg, ArbiterTimer>>) {
-        for action in actions {
+    /// Executes and drains `actions`, in order.
+    fn execute(&mut self, shard: ShardId, actions: &mut Vec<Action<ArbiterMsg, ArbiterTimer>>) {
+        for action in actions.drain(..) {
             match action {
-                Action::Send { to, msg } => self.transmit(shard, to, &msg),
+                Action::Send { to, msg } => {
+                    let frame = wire::encode(shard, &msg);
+                    self.transmit(shard, to, &msg, frame);
+                }
                 Action::Broadcast { msg, except } => {
+                    // Encoded once; every peer gets the same frame.
+                    let mut frame = None;
                     for i in 0..self.n {
                         let to = NodeId::from_index(i);
                         if to != self.id && !except.contains(&to) {
-                            self.transmit(shard, to, &msg);
+                            let frame = frame.get_or_insert_with(|| wire::encode(shard, &msg));
+                            self.transmit(shard, to, &msg, frame.clone());
                         }
                     }
                 }
                 Action::SetTimer { timer, after } => {
-                    self.timers.set(shard, timer, Instant::now() + after.into());
+                    self.timers.set(shard, timer, self.now + after.into());
                 }
                 Action::CancelTimer(timer) => self.timers.cancel(shard, timer),
                 Action::EnterCs => {
@@ -1105,7 +1289,7 @@ impl NodeCore {
                     match st.waiters.pop_front() {
                         Some((slot, since)) => {
                             self.reply(slot, Ok(cs_gen));
-                            let waited = since.elapsed();
+                            let waited = self.now.saturating_duration_since(since);
                             self.hot.cs_grant.record_duration(waited);
                             if self.obs.enabled(T_NODE, Level::Debug) {
                                 self.obs.emit(
@@ -1134,27 +1318,14 @@ impl NodeCore {
                                 .field("detail", &note),
                         );
                     }
-                    // Phase notes open/close wall-clock spans: dropping a
-                    // guard emits `span_close` and records the duration in
-                    // the `span_ns/<name>` histogram.
-                    let st = &mut self.shards[shard.index()];
+                    // Phase notes open and close the phases' spans.
                     match note {
-                        Note::CollectionOpened => {
-                            st.collection_span = Some(
-                                span!(self.obs, T_ARBITER, "request_collection")
-                                    .on_node(u64::from(self.id.0)),
-                            );
-                        }
+                        Note::CollectionOpened => self.open_phase(shard, Phase::Collection),
                         Note::QListSealed { .. } | Note::SelfGrant => {
-                            st.collection_span = None;
+                            self.close_phase(shard, Phase::Collection);
                         }
-                        Note::ForwardingOpened { .. } => {
-                            st.forwarding_span = Some(
-                                span!(self.obs, T_ARBITER, "forwarding_phase")
-                                    .on_node(u64::from(self.id.0)),
-                            );
-                        }
-                        Note::ForwardingClosed => st.forwarding_span = None,
+                        Note::ForwardingOpened { .. } => self.open_phase(shard, Phase::Forwarding),
+                        Note::ForwardingClosed => self.close_phase(shard, Phase::Forwarding),
                         _ => {}
                     }
                 }
@@ -1162,16 +1333,16 @@ impl NodeCore {
         }
     }
 
-    fn transmit(&mut self, shard: ShardId, to: NodeId, msg: &ArbiterMsg) {
+    /// Sends `msg`, encoded as `frame`, to `to`.
+    fn transmit(&mut self, shard: ShardId, to: NodeId, msg: &ArbiterMsg, frame: Bytes) {
         use tokq_protocol::api::ProtocolMessage;
         let kind = msg.kind();
         if let ArbiterMsg::Privilege(_) = msg {
-            self.shards[shard.index()].contended_at = Some(Instant::now());
+            self.shards[shard.index()].contended_at = Some(self.now);
         }
         let sent = self.hot.msg_sent[kind_slot(msg)]
             .get_or_insert_with(|| self.metrics.kind_counter(kind));
         self.metrics.message(shard, sent);
-        let frame = wire::encode(shard, msg);
         self.hot.wire_bytes_out.add(frame.len() as u64);
         if self.obs.enabled(T_NET, Level::Trace) {
             self.obs.emit(
@@ -1276,7 +1447,8 @@ mod tests {
         .expect("node");
         let mut guard = node.core.lock();
         let core = &mut *guard;
-        core.transmit(ShardId(0), me, &ArbiterMsg::Probe);
+        let probe = ArbiterMsg::Probe;
+        core.transmit(ShardId(0), me, &probe, wire::encode(ShardId(0), &probe));
         assert_eq!(core.frames.len(), 1, "queued for delivery, not sent");
         core.deliver_frames();
         let registry = metrics.obs().registry();
@@ -1296,6 +1468,205 @@ mod tests {
             .expect("poll");
         assert_eq!(ready, 0, "nothing connected to the node's listener");
         assert_eq!(registry.counter("tcp_connects").get(), 0);
+    }
+
+    /// Node 0 of an `n`-node channel cluster running one shard under
+    /// `cfg`, with the inboxes of nodes 1.. and the cluster's metrics.
+    fn channel_node(
+        n: usize,
+        cfg: tokq_protocol::arbiter::ArbiterConfig,
+    ) -> (Node, Vec<InboxRx>, Arc<ClusterMetrics>) {
+        use crate::transport::NetOptions;
+        use tokq_protocol::api::ProtocolFactory;
+        let metrics = ClusterMetrics::new();
+        let (txs, mut rxs): (Vec<_>, Vec<_>) = (0..n)
+            .map(|_| crate::inbox::inbox(metrics.bell_ring_counter()).expect("eventfd"))
+            .unzip();
+        let panel = FaultPanel::detached(n);
+        let transport =
+            ChannelTransport::new(txs, NetOptions::instant(), metrics.obs(), panel.clone());
+        let node = Node::new(
+            vec![cfg.build_shard(NodeId(0), n, 0)],
+            rxs.remove(0),
+            NodeNet::Channel(Arc::new(transport)),
+            panel,
+            Arc::clone(&metrics),
+        )
+        .expect("node");
+        (node, rxs, metrics)
+    }
+
+    /// A crash or a shutdown ends every open phase, recording one sample
+    /// each, as does a phase that opens again while open.
+    #[test]
+    fn crash_and_shutdown_close_open_phases_once() {
+        use tokq_protocol::arbiter::ArbiterConfig;
+        use tokq_protocol::types::TimeDelta;
+        let cfg = ArbiterConfig::fault_tolerant().with_t_collect(TimeDelta::from_secs(1));
+        let (node, _peers, metrics) = channel_node(2, cfg);
+        let samples = |phase: Phase| {
+            metrics
+                .obs()
+                .registry()
+                .histogram_with("span_ns", phase.name())
+                .summary()
+                .count
+        };
+        let mut core = node.core.lock();
+        // Node 0 is the initial arbiter: its own request opens a window.
+        core.dispatch(ShardId(0), Input::RequestCs);
+        core.open_phase(ShardId(0), Phase::Forwarding);
+        core.open_phase(ShardId(0), Phase::Forwarding);
+        assert_eq!(
+            samples(Phase::Forwarding),
+            1,
+            "a reopened phase closes first"
+        );
+        assert_eq!(samples(Phase::Collection), 0, "the window is open");
+        core.crash();
+        assert_eq!(samples(Phase::Collection), 1);
+        assert_eq!(samples(Phase::Forwarding), 2);
+        core.crash();
+        core.shut_down();
+        assert_eq!(samples(Phase::Collection), 1, "nothing was open");
+        for phase in Phase::ALL {
+            core.open_phase(ShardId(0), phase);
+        }
+        core.shut_down();
+        assert_eq!(samples(Phase::Collection), 2);
+        assert_eq!(samples(Phase::Forwarding), 3);
+    }
+
+    /// A broadcast is encoded once: every peer gets the same frame, and
+    /// each copy is counted as a message and in `wire_bytes_out`.
+    #[test]
+    fn a_broadcast_encodes_one_frame_for_every_peer() {
+        const N: usize = 5;
+        let (node, rxs, metrics) =
+            channel_node(N, tokq_protocol::arbiter::ArbiterConfig::fault_tolerant());
+        let me = NodeId(0);
+        let sent_before = metrics.messages_total();
+        let bytes_out = metrics.obs().registry().counter("wire_bytes_out");
+        let bytes_before = bytes_out.get();
+        let msg = ArbiterMsg::NewArbiter {
+            arbiter: me,
+            q: QList::new(),
+            prev: NodeId(1),
+            round: 7,
+            counter: 0,
+            epoch: 0,
+            monitor: None,
+        };
+        let len = wire::encode(ShardId(0), &msg).len() as u64;
+        node.core.lock().execute(
+            ShardId(0),
+            &mut vec![Action::Broadcast {
+                msg,
+                except: Vec::new(),
+            }],
+        );
+        assert_eq!(metrics.messages_total() - sent_before, (N - 1) as u64);
+        assert_eq!(
+            metrics.by_kind().get("NEW-ARBITER"),
+            Some(&((N - 1) as u64))
+        );
+        assert_eq!(bytes_out.get() - bytes_before, (N as u64 - 1) * len);
+        let frames: Vec<Bytes> = rxs
+            .iter()
+            .map(|rx| {
+                let mut got = VecDeque::new();
+                rx.take(&mut got, 16);
+                match got.pop_front() {
+                    Some(NodeEvent::Wire { from, frame }) if got.is_empty() && from == me => frame,
+                    other => panic!("one frame from node 0 per peer, got {other:?} + {got:?}"),
+                }
+            })
+            .collect();
+        assert_eq!(frames.len(), N - 1);
+        for frame in &frames {
+            assert_eq!(frame.len() as u64, len);
+            assert_eq!(frame, &frames[0], "byte-identical frames");
+            assert_eq!(frame.as_ptr(), frames[0].as_ptr(), "one shared buffer");
+        }
+    }
+
+    /// One step of the [`TimerTable`] model test.
+    #[derive(Debug, Clone)]
+    enum TimerOp {
+        Set(u16, usize, u64),
+        Cancel(u16, usize),
+        TakeEarliest,
+        Take(usize),
+        Clear,
+    }
+
+    const MODEL_SHARDS: u16 = 3;
+
+    fn timer_op() -> impl proptest::strategy::Strategy<Value = TimerOp> {
+        use proptest::prelude::*;
+        let slots = usize::from(MODEL_SHARDS) * TIMER_KINDS;
+        prop_oneof![
+            (0..MODEL_SHARDS, 0..TIMER_KINDS, 0u64..8).prop_map(|(s, k, t)| TimerOp::Set(s, k, t)),
+            (0..MODEL_SHARDS, 0..TIMER_KINDS, 0u64..8).prop_map(|(s, k, t)| TimerOp::Set(s, k, t)),
+            (0..MODEL_SHARDS, 0..TIMER_KINDS).prop_map(|(s, k)| TimerOp::Cancel(s, k)),
+            Just(TimerOp::TakeEarliest),
+            (0..slots).prop_map(TimerOp::Take),
+            Just(TimerOp::Clear),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// Over random set/cancel/take/clear sequences across shards,
+        /// `earliest` always names what a scan of every slot finds (the
+        /// lowest slot among equal deadlines; deadlines collide often).
+        #[test]
+        fn timer_table_earliest_matches_a_full_scan(
+            ops in proptest::collection::vec(timer_op(), 0..200),
+        ) {
+            let base = Instant::now();
+            let mut table = TimerTable::new(usize::from(MODEL_SHARDS));
+            let mut model: Vec<Option<Instant>> = vec![None; usize::from(MODEL_SHARDS) * TIMER_KINDS];
+            let scan = |model: &[Option<Instant>]| {
+                model
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(slot, due)| due.map(|due| (slot, due)))
+                    .min_by_key(|&(_, due)| due)
+            };
+            for op in ops {
+                match op {
+                    TimerOp::Set(s, k, t) => {
+                        let due = base + Duration::from_micros(t);
+                        table.set(ShardId(s), TIMERS[k], due);
+                        model[TimerTable::slot(ShardId(s), TIMERS[k])] = Some(due);
+                    }
+                    TimerOp::Cancel(s, k) => {
+                        table.cancel(ShardId(s), TIMERS[k]);
+                        model[TimerTable::slot(ShardId(s), TIMERS[k])] = None;
+                    }
+                    TimerOp::TakeEarliest => {
+                        if let Some((slot, _)) = table.earliest() {
+                            let named = table.take(slot);
+                            proptest::prop_assert_eq!(TimerTable::slot(named.0, named.1), slot);
+                            model[slot] = None;
+                        }
+                    }
+                    TimerOp::Take(slot) => {
+                        table.take(slot);
+                        model[slot] = None;
+                    }
+                    TimerOp::Clear => {
+                        table.clear();
+                        model.fill(None);
+                    }
+                }
+                proptest::prop_assert_eq!(table.earliest(), scan(&model));
+                proptest::prop_assert_eq!(&table.due, &model);
+                proptest::prop_assert_eq!(table.heap.len(), model.iter().flatten().count());
+            }
+        }
     }
 
     #[test]

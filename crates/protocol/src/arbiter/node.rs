@@ -473,45 +473,38 @@ impl ArbiterNode {
             }
         }
         // Drop entries that were granted since being collected (the
-        // token's L array, paper §2.4).
+        // token's L array, paper §2.4). The collection is filtered and
+        // ordered in place: it becomes the sealed list.
         let lg = &self
             .token
             .as_ref()
             .expect("seal requires token")
             .last_granted;
-        let mut q = QList::new();
-        for e in std::mem::take(&mut self.collect) {
-            let granted = lg.get(e.node.index()).copied().unwrap_or(SeqNum::ZERO);
-            if e.seq > granted {
-                q.push_back(e);
-            }
-        }
+        self.collect
+            .retain_entries(|e| e.seq > lg.get(e.node.index()).copied().unwrap_or(SeqNum::ZERO));
         match self.cfg.fairness {
             Fairness::Fcfs => {}
-            Fairness::SeqNumFair => {
-                let mut v: Vec<Entry> = q.into_iter().collect();
-                v.sort_by_key(|e| e.seq);
-                q = v.into_iter().collect();
-            }
-            Fairness::Priority => q.sort_by_priority(),
+            Fairness::SeqNumFair => self.collect.sort_by_seq(),
+            Fairness::Priority => self.collect.sort_by_priority(),
         }
-        if q.is_empty() {
+        if self.collect.is_empty() {
             // Nothing to schedule: remain the (idle) arbiter.
             return;
         }
-        let steady = self.is_steady_self_only(&q, acted_as_monitor);
+        let steady = self.is_steady_self_only(&self.collect, acted_as_monitor);
         if steady {
             self.self_streak = self.self_streak.wrapping_add(1);
             if self.self_streak > SELF_GRANT_WARMUP
                 && !self.self_streak.is_multiple_of(SELF_GRANT_ANNOUNCE_EVERY)
             {
-                self.self_grant(q, out);
+                self.self_grant(out);
                 return;
             }
         } else {
             self.self_streak = 0;
         }
 
+        let q = std::mem::take(&mut self.collect);
         let head = q.head().expect("sealed list is non-empty");
         let new_arbiter = q.tail().expect("sealed list is non-empty");
         let q_len = q.len();
@@ -564,7 +557,9 @@ impl ArbiterNode {
             });
         }
         self.last_round = round;
-        self.last_q_seen = q_for_broadcast;
+        // The previous schedule's buffer collects the next requests.
+        self.collect = std::mem::replace(&mut self.last_q_seen, q_for_broadcast);
+        self.collect.clear();
         self.prev_arbiter = self.id;
         self.arbiter = new_arbiter;
 
@@ -618,8 +613,14 @@ impl ArbiterNode {
     /// scheduled, so the CS starts at once with no NEW-ARBITER and the
     /// round unchanged. The paper's §3.1 optimisation drops the broadcast
     /// to a sole scheduled node; here that node is the arbiter itself.
-    fn self_grant(&mut self, q: QList, out: &mut Outbox) {
-        self.token.as_mut().expect("seal requires token").q = q;
+    ///
+    /// The sealed collection moves into the token, and the token's spent
+    /// list becomes the next collection buffer, so the grant allocates
+    /// nothing.
+    fn self_grant(&mut self, out: &mut Outbox) {
+        let tok = self.token.as_mut().expect("seal requires token");
+        std::mem::swap(&mut tok.q, &mut self.collect);
+        self.collect.clear();
         out.push(Action::Note(Note::SelfGrant));
         self.enter_cs(out);
     }
@@ -784,7 +785,7 @@ impl ArbiterNode {
         self.is_arbiter = true;
         self.self_streak = 0;
         self.regenerated = false;
-        self.collect = QList::new();
+        self.collect.clear();
         if self.want_cs && !self.waiting_confirmed && !self.in_cs {
             // Fold our not-yet-scheduled request into our own queue.
             self.collect.push_back(self.own_entry());
@@ -1011,6 +1012,71 @@ impl ArbiterNode {
         // Rejoin as a regular node; the next NEW-ARBITER teaches us the
         // current arbiter, round, and epoch.
     }
+
+    /// Feeds one input and appends the actions to execute, in order, to
+    /// `out`. [`Protocol::step`] is this with a fresh buffer; a driver that
+    /// keeps one buffer across steps steps without allocating.
+    pub fn step_into(
+        &mut self,
+        input: Input<ArbiterMsg, ArbiterTimer>,
+        out: &mut Vec<Action<ArbiterMsg, ArbiterTimer>>,
+    ) {
+        if !self.alive {
+            match input {
+                Input::Start => self.on_start(out),
+                Input::Recover => self.on_recover(),
+                _ => {}
+            }
+            return;
+        }
+        match input {
+            Input::Start => self.on_start(out),
+            Input::RequestCs => self.on_request_cs(out),
+            Input::CsDone => self.on_cs_done(out),
+            Input::Crash => self.on_crash(),
+            Input::Recover => self.on_recover(),
+            Input::Timer(t) => match t {
+                ArbiterTimer::CollectionEnd => self.on_collection_end(out),
+                ArbiterTimer::ForwardEnd => self.on_forward_end(out),
+                ArbiterTimer::TokenWait => self.on_token_wait(out),
+                ArbiterTimer::ArbiterWait => self.on_arbiter_wait(out),
+                ArbiterTimer::EnquiryTimeout => self.on_enquiry_timeout(out),
+                ArbiterTimer::HandoverWatch => self.on_handover_watch(out),
+                ArbiterTimer::ProbeTimeout => self.on_probe_timeout(out),
+                ArbiterTimer::RequestRetry => self.on_request_retry(out),
+            },
+            Input::Deliver { from, msg } => match msg {
+                ArbiterMsg::Request {
+                    requester,
+                    seq,
+                    priority,
+                    hops,
+                } => self.on_request(requester, seq, priority, hops, out),
+                ArbiterMsg::Privilege(tok) => self.on_privilege(tok, out),
+                ArbiterMsg::NewArbiter {
+                    arbiter,
+                    q,
+                    prev,
+                    round,
+                    counter,
+                    epoch,
+                    monitor,
+                } => self.on_new_arbiter(arbiter, q, prev, round, counter, epoch, monitor, out),
+                ArbiterMsg::MonitorSubmit {
+                    requester,
+                    seq,
+                    priority,
+                } => self.on_monitor_submit(requester, seq, priority, out),
+                ArbiterMsg::Warning { round } => self.on_warning(from, round, out),
+                ArbiterMsg::Enquiry { epoch } => self.on_enquiry(from, epoch, out),
+                ArbiterMsg::EnquiryReply { status } => self.on_enquiry_reply(from, status, out),
+                ArbiterMsg::Resume => self.on_resume(out),
+                ArbiterMsg::Invalidate { epoch } => self.on_invalidate(epoch, out),
+                ArbiterMsg::Probe => self.on_probe(from, out),
+                ArbiterMsg::ProbeAck { arbiter } => self.on_probe_ack(from, arbiter, out),
+            },
+        }
+    }
 }
 
 impl Protocol for ArbiterNode {
@@ -1027,65 +1093,7 @@ impl Protocol for ArbiterNode {
 
     fn step(&mut self, input: Input<ArbiterMsg, ArbiterTimer>) -> Outbox {
         let mut out = Outbox::new();
-        if !self.alive {
-            match input {
-                Input::Start => self.on_start(&mut out),
-                Input::Recover => self.on_recover(),
-                _ => {}
-            }
-            return out;
-        }
-        match input {
-            Input::Start => self.on_start(&mut out),
-            Input::RequestCs => self.on_request_cs(&mut out),
-            Input::CsDone => self.on_cs_done(&mut out),
-            Input::Crash => self.on_crash(),
-            Input::Recover => self.on_recover(),
-            Input::Timer(t) => match t {
-                ArbiterTimer::CollectionEnd => self.on_collection_end(&mut out),
-                ArbiterTimer::ForwardEnd => self.on_forward_end(&mut out),
-                ArbiterTimer::TokenWait => self.on_token_wait(&mut out),
-                ArbiterTimer::ArbiterWait => self.on_arbiter_wait(&mut out),
-                ArbiterTimer::EnquiryTimeout => self.on_enquiry_timeout(&mut out),
-                ArbiterTimer::HandoverWatch => self.on_handover_watch(&mut out),
-                ArbiterTimer::ProbeTimeout => self.on_probe_timeout(&mut out),
-                ArbiterTimer::RequestRetry => self.on_request_retry(&mut out),
-            },
-            Input::Deliver { from, msg } => match msg {
-                ArbiterMsg::Request {
-                    requester,
-                    seq,
-                    priority,
-                    hops,
-                } => self.on_request(requester, seq, priority, hops, &mut out),
-                ArbiterMsg::Privilege(tok) => self.on_privilege(tok, &mut out),
-                ArbiterMsg::NewArbiter {
-                    arbiter,
-                    q,
-                    prev,
-                    round,
-                    counter,
-                    epoch,
-                    monitor,
-                } => {
-                    self.on_new_arbiter(arbiter, q, prev, round, counter, epoch, monitor, &mut out)
-                }
-                ArbiterMsg::MonitorSubmit {
-                    requester,
-                    seq,
-                    priority,
-                } => self.on_monitor_submit(requester, seq, priority, &mut out),
-                ArbiterMsg::Warning { round } => self.on_warning(from, round, &mut out),
-                ArbiterMsg::Enquiry { epoch } => self.on_enquiry(from, epoch, &mut out),
-                ArbiterMsg::EnquiryReply { status } => {
-                    self.on_enquiry_reply(from, status, &mut out)
-                }
-                ArbiterMsg::Resume => self.on_resume(&mut out),
-                ArbiterMsg::Invalidate { epoch } => self.on_invalidate(epoch, &mut out),
-                ArbiterMsg::Probe => self.on_probe(from, &mut out),
-                ArbiterMsg::ProbeAck { arbiter } => self.on_probe_ack(from, arbiter, &mut out),
-            },
-        }
+        self.step_into(input, &mut out);
         out
     }
 

@@ -163,13 +163,29 @@ impl QList {
         self.entries.retain(|e| keep(e.node));
     }
 
+    /// Retains only the entries `keep` accepts, in place.
+    pub fn retain_entries(&mut self, keep: impl FnMut(&Entry) -> bool) {
+        self.entries.retain(keep);
+    }
+
+    /// Removes every entry, keeping the buffer for later pushes.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+    }
+
     /// Stable-sorts entries by descending priority (paper §5.2: "the arbiter
     /// will order the requests in the order of the node priorities").
     /// Ties keep FCFS order.
     pub fn sort_by_priority(&mut self) {
-        let mut v: Vec<Entry> = self.entries.drain(..).collect();
-        v.sort_by_key(|e| std::cmp::Reverse(e.priority));
-        self.entries = v.into();
+        self.entries
+            .make_contiguous()
+            .sort_by_key(|e| std::cmp::Reverse(e.priority));
+    }
+
+    /// Stable-sorts entries by ascending sequence number (paper §2.4
+    /// fairness refinement). Ties keep FCFS order.
+    pub fn sort_by_seq(&mut self) {
+        self.entries.make_contiguous().sort_by_key(|e| e.seq);
     }
 
     /// Iterates over scheduled entries head-to-tail.
@@ -314,6 +330,20 @@ mod tests {
         let order: Vec<u32> = q.nodes().map(|n| n.0).collect();
         // Descending priority, FCFS within equal priority.
         assert_eq!(order, vec![2, 3, 4, 1]);
+    }
+
+    #[test]
+    fn seq_sort_is_stable_and_in_place_edits_keep_order() {
+        let mut q = QList::new();
+        for (n, seq) in [(1, 3), (2, 1), (3, 3), (4, 2)] {
+            q.push_back(Entry::new(NodeId(n), SeqNum(seq)));
+        }
+        q.sort_by_seq();
+        assert_eq!(q.nodes().map(|n| n.0).collect::<Vec<_>>(), vec![2, 4, 1, 3]);
+        q.retain_entries(|e| e.seq > SeqNum(1));
+        assert_eq!(q.nodes().map(|n| n.0).collect::<Vec<_>>(), vec![4, 1, 3]);
+        q.clear();
+        assert!(q.is_empty());
     }
 
     #[test]

@@ -70,15 +70,18 @@ cargo test -q --test reactor
 
 echo "==> caller-driven locks: release build, then the contended TCP split twice"
 # Lock calls step their node on the calling thread: a lost wakeup, a late
-# grant kept, or contending clients that stop alternating fails here.
+# grant kept, contending clients that stop alternating, or a silent lock
+# cycle that allocates on the calling thread fails here.
 cargo test --release -q --test caller_driven
+cargo test --release -q --test alloc_free_lock
 cargo test --release -q --test self_grant
 cargo test --release -q --test self_grant
 
 echo "==> one CPU: every node on one reactor, as in the perfbench runs"
 # available_parallelism follows the affinity mask, so one reactor drives
 # every node of each cluster, the shape perfbench measures.
-taskset -c 0 cargo test --release -q --test reactor --test caller_driven --test self_grant
+taskset -c 0 cargo test --release -q --test reactor --test caller_driven --test self_grant \
+    --test alloc_free_lock
 
 echo "==> tcp bench smoke: grant latency, healthy vs one peer dead"
 cargo run --release --quiet -p tokq-bench --bin tcp_pipeline -- --rounds 3
