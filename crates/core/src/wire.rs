@@ -13,9 +13,13 @@
 //! node uses to route the decoded message to the right protocol instance.
 //! Transports themselves never inspect it — frames stay opaque below this
 //! layer.
+//!
+//! [`encode_into`] appends a frame to a buffer the caller reuses, and
+//! [`decode`] parses the slice it is given in place: neither allocates
+//! for the frame itself.
 
 use crate::service::ShardId;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes};
 use tokq_protocol::arbiter::{ArbiterMsg, Token, TokenStatus};
 use tokq_protocol::qlist::{Entry, QList};
 use tokq_protocol::types::{NodeId, Priority, SeqNum};
@@ -49,6 +53,45 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+/// A read cursor over a borrowed frame (the `bytes` stand-in implements
+/// [`Buf`] only for its owned [`Bytes`]).
+struct Cursor<'a>(&'a [u8]);
+
+impl Buf for Cursor<'_> {
+    fn remaining(&self) -> usize {
+        self.0.len()
+    }
+
+    fn chunk(&self) -> &[u8] {
+        self.0
+    }
+
+    fn advance(&mut self, n: usize) {
+        self.0 = &self.0[n..];
+    }
+}
+
+/// The big-endian writes the encoder needs, on a plain byte vector.
+trait Put {
+    fn put_u8(&mut self, v: u8);
+    fn put_u32(&mut self, v: u32);
+    fn put_u64(&mut self, v: u64);
+}
+
+impl Put for Vec<u8> {
+    fn put_u8(&mut self, v: u8) {
+        self.push(v);
+    }
+
+    fn put_u32(&mut self, v: u32) {
+        self.extend_from_slice(&v.to_be_bytes());
+    }
+
+    fn put_u64(&mut self, v: u64) {
+        self.extend_from_slice(&v.to_be_bytes());
+    }
+}
+
 fn need(buf: &impl Buf, n: usize) -> Result<(), WireError> {
     if buf.remaining() < n {
         Err(WireError::Truncated)
@@ -57,7 +100,7 @@ fn need(buf: &impl Buf, n: usize) -> Result<(), WireError> {
     }
 }
 
-fn put_qlist(out: &mut BytesMut, q: &QList) {
+fn put_qlist(out: &mut Vec<u8>, q: &QList) {
     out.put_u32(q.len() as u32);
     for e in q.iter() {
         out.put_u32(e.node.0);
@@ -66,7 +109,7 @@ fn put_qlist(out: &mut BytesMut, q: &QList) {
     }
 }
 
-fn get_qlist(buf: &mut Bytes) -> Result<QList, WireError> {
+fn get_qlist(buf: &mut Cursor<'_>) -> Result<QList, WireError> {
     need(buf, 4)?;
     let len = buf.get_u32() as usize;
     // `len` is untrusted: no pre-allocation happens here (the QList grows
@@ -83,7 +126,7 @@ fn get_qlist(buf: &mut Bytes) -> Result<QList, WireError> {
     Ok(q)
 }
 
-fn put_token(out: &mut BytesMut, t: &Token) {
+fn put_token(out: &mut Vec<u8>, t: &Token) {
     put_qlist(out, &t.q);
     out.put_u32(t.last_granted.len() as u32);
     for s in &t.last_granted {
@@ -94,7 +137,7 @@ fn put_token(out: &mut BytesMut, t: &Token) {
     out.put_u8(u8::from(t.via_monitor));
 }
 
-fn get_token(buf: &mut Bytes) -> Result<Token, WireError> {
+fn get_token(buf: &mut Cursor<'_>) -> Result<Token, WireError> {
     let q = get_qlist(buf)?;
     need(buf, 4)?;
     let n = buf.get_u32() as usize;
@@ -120,7 +163,7 @@ fn get_token(buf: &mut Bytes) -> Result<Token, WireError> {
     })
 }
 
-fn put_opt_node(out: &mut BytesMut, node: Option<NodeId>) {
+fn put_opt_node(out: &mut Vec<u8>, node: Option<NodeId>) {
     match node {
         Some(n) => {
             out.put_u8(1);
@@ -130,7 +173,7 @@ fn put_opt_node(out: &mut BytesMut, node: Option<NodeId>) {
     }
 }
 
-fn get_opt_node(buf: &mut Bytes) -> Result<Option<NodeId>, WireError> {
+fn get_opt_node(buf: &mut Cursor<'_>) -> Result<Option<NodeId>, WireError> {
     need(buf, 1)?;
     if buf.get_u8() == 0 {
         Ok(None)
@@ -142,7 +185,13 @@ fn get_opt_node(buf: &mut Bytes) -> Result<Option<NodeId>, WireError> {
 
 /// Encodes a message for `shard` into an owned frame.
 pub fn encode(shard: ShardId, msg: &ArbiterMsg) -> Bytes {
-    let mut out = BytesMut::with_capacity(64);
+    let mut out = Vec::with_capacity(64);
+    encode_into(&mut out, shard, msg);
+    Bytes::from(out)
+}
+
+/// Appends the frame [`encode`] would return to `out`.
+pub fn encode_into(out: &mut Vec<u8>, shard: ShardId, msg: &ArbiterMsg) {
     out.put_u8(WIRE_VERSION);
     // Big-endian u16 shard id (the vendored `bytes` shim has no put_u16).
     out.put_u8((shard.0 >> 8) as u8);
@@ -162,7 +211,7 @@ pub fn encode(shard: ShardId, msg: &ArbiterMsg) -> Bytes {
         }
         ArbiterMsg::Privilege(token) => {
             out.put_u8(1);
-            put_token(&mut out, token);
+            put_token(out, token);
         }
         ArbiterMsg::NewArbiter {
             arbiter,
@@ -175,12 +224,12 @@ pub fn encode(shard: ShardId, msg: &ArbiterMsg) -> Bytes {
         } => {
             out.put_u8(2);
             out.put_u32(arbiter.0);
-            put_qlist(&mut out, q);
+            put_qlist(out, q);
             out.put_u32(prev.0);
             out.put_u64(*round);
             out.put_u32(*counter);
             out.put_u64(*epoch);
-            put_opt_node(&mut out, *monitor);
+            put_opt_node(out, *monitor);
         }
         ArbiterMsg::MonitorSubmit {
             requester,
@@ -220,7 +269,6 @@ pub fn encode(shard: ShardId, msg: &ArbiterMsg) -> Bytes {
             out.put_u8(u8::from(*arbiter));
         }
     }
-    out.freeze()
 }
 
 /// Decodes a frame produced by [`encode`], yielding the shard it belongs
@@ -231,7 +279,7 @@ pub fn encode(shard: ShardId, msg: &ArbiterMsg) -> Bytes {
 /// Returns a [`WireError`] on truncation, version mismatch, unknown tags,
 /// or trailing garbage.
 pub fn decode(frame: &[u8]) -> Result<(ShardId, ArbiterMsg), WireError> {
-    let mut buf = Bytes::copy_from_slice(frame);
+    let mut buf = Cursor(frame);
     need(&buf, 4)?;
     let version = buf.get_u8();
     if version != WIRE_VERSION {
@@ -443,6 +491,21 @@ mod tests {
         let mut frame = encode(ShardId(0), &ArbiterMsg::Probe).to_vec();
         frame.push(0);
         assert_eq!(decode(&frame), Err(WireError::TrailingBytes(1)));
+    }
+
+    #[test]
+    fn encode_into_appends_what_encode_returns() {
+        let msg = ArbiterMsg::Privilege(sample_token());
+        let mut out = vec![0xAA; 3];
+        encode_into(&mut out, ShardId(7), &msg);
+        assert_eq!(&out[..3], &[0xAA; 3], "what was there stays");
+        assert_eq!(&out[3..], &encode(ShardId(7), &msg)[..]);
+        // A reused buffer keeps its capacity: no allocation once warm.
+        let capacity = out.capacity();
+        out.clear();
+        encode_into(&mut out, ShardId(7), &msg);
+        assert_eq!(out.capacity(), capacity);
+        assert_eq!(decode(&out), Ok((ShardId(7), msg)));
     }
 
     #[test]

@@ -70,8 +70,10 @@ cargo test -q --test reactor
 
 echo "==> caller-driven locks: release build, then the contended TCP split twice"
 # Lock calls step their node on the calling thread: a lost wakeup, a late
-# grant kept, contending clients that stop alternating, or a silent lock
-# cycle that allocates on the calling thread fails here.
+# grant kept, contending clients that stop alternating, a contended grant
+# that wakes its waiter more than once (a lock convoy), a silent lock
+# cycle that allocates on the calling thread, or a contended critical
+# section that allocates more than its pinned count fails here.
 cargo test --release -q --test caller_driven
 cargo test --release -q --test alloc_free_lock
 cargo test --release -q --test self_grant
@@ -79,7 +81,10 @@ cargo test --release -q --test self_grant
 
 echo "==> one CPU: every node on one reactor, as in the perfbench runs"
 # available_parallelism follows the affinity mask, so one reactor drives
-# every node of each cluster, the shape perfbench measures.
+# every node of each cluster, the shape perfbench measures. A lock convoy
+# shows only here: a waiter woken under a lock preempts its waker on the
+# one CPU and blocks again (caller_driven's convoy test, with the
+# contended allocation case of alloc_free_lock).
 taskset -c 0 cargo test --release -q --test reactor --test caller_driven --test self_grant \
     --test alloc_free_lock
 
